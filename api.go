@@ -108,28 +108,29 @@ func NewPaperWindow(w int) Window { return seqwin.NewBool(w) }
 func InferESN(edge uint64, lo uint32, w int) uint64 { return seqwin.InferESN(edge, lo, w) }
 
 // NewFileSender builds a resilient sender persisting to a file-backed store
-// at path with background (goroutine) saves. Close the returned saver when
-// done to wait for in-flight saves.
-func NewFileSender(path string, k uint64) (*Sender, *AsyncSaver, error) {
+// at path with background saves on a one-worker SaverPool. Close the
+// returned pool when done to wait for in-flight saves.
+func NewFileSender(path string, k uint64) (*Sender, *SaverPool, error) {
 	st := store.NewFile(path)
-	saver := store.NewAsyncSaver(st)
-	snd, err := core.NewSender(core.SenderConfig{K: k, Store: st, Saver: saver})
+	pool := store.NewSaverPool(1)
+	snd, err := core.NewSender(core.SenderConfig{K: k, Store: st, Saver: pool.Saver(st)})
 	if err != nil {
-		saver.Close()
+		pool.Close()
 		return nil, nil, fmt.Errorf("antireplay: file sender: %w", err)
 	}
-	return snd, saver, nil
+	return snd, pool, nil
 }
 
 // NewFileReceiver builds a resilient receiver persisting to a file-backed
-// store at path with background saves and a window of width w.
-func NewFileReceiver(path string, k uint64, w int) (*Receiver, *AsyncSaver, error) {
+// store at path with background saves on a one-worker SaverPool and a
+// window of width w.
+func NewFileReceiver(path string, k uint64, w int) (*Receiver, *SaverPool, error) {
 	st := store.NewFile(path)
-	saver := store.NewAsyncSaver(st)
-	rcv, err := core.NewReceiver(core.ReceiverConfig{K: k, W: w, Store: st, Saver: saver})
+	pool := store.NewSaverPool(1)
+	rcv, err := core.NewReceiver(core.ReceiverConfig{K: k, W: w, Store: st, Saver: pool.Saver(st)})
 	if err != nil {
-		saver.Close()
+		pool.Close()
 		return nil, nil, fmt.Errorf("antireplay: file receiver: %w", err)
 	}
-	return rcv, saver, nil
+	return rcv, pool, nil
 }

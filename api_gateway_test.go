@@ -13,9 +13,9 @@ import (
 // constructors through a reset on both endpoints sharing one journal.
 func TestJournalSenderReceiverRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pair.journal")
-	j, err := antireplay.NewJournal(path)
+	j, err := antireplay.NewLanes(path, antireplay.LanesCount(1))
 	if err != nil {
-		t.Fatalf("NewJournal: %v", err)
+		t.Fatalf("NewLanes: %v", err)
 	}
 	pool := antireplay.NewSaverPool(2)
 	defer func() {
@@ -102,9 +102,9 @@ func TestJournalSenderReceiverRoundTrip(t *testing.T) {
 // cell, through the public constructors only.
 func TestJournalRecoveryPublic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gw.journal")
-	j, err := antireplay.NewJournal(path, antireplay.JournalCompactAt(1<<16))
+	j, err := antireplay.NewLanes(path, antireplay.LanesCount(1), antireplay.LanesCompactAt(1<<16))
 	if err != nil {
-		t.Fatalf("NewJournal: %v", err)
+		t.Fatalf("NewLanes: %v", err)
 	}
 	snd, err := antireplay.NewJournalSender(j, antireplay.OutboundKey(0x42), 5, nil)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestJournalRecoveryPublic(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	j2, err := antireplay.NewJournal(path)
+	j2, err := antireplay.NewLanes(path, antireplay.LanesCount(1))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

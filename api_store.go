@@ -18,8 +18,6 @@ type (
 	FileStore = store.File
 	// FileStoreOption configures a FileStore.
 	FileStoreOption = store.FileOption
-	// AsyncSaver runs saves on background goroutines.
-	AsyncSaver = store.AsyncSaver
 	// FaultyStore wraps a Store with fault injection for tests.
 	FaultyStore = store.Faulty
 	// LatentStore adds fixed latency to saves, emulating a slow medium.
@@ -30,7 +28,7 @@ type (
 var (
 	// ErrCorrupt reports a persisted record that failed validation.
 	ErrCorrupt = store.ErrCorrupt
-	// ErrSaverClosed reports a save on a closed AsyncSaver.
+	// ErrSaverClosed reports a save on a closed SaverPool.
 	ErrSaverClosed = store.ErrClosed
 )
 
@@ -41,9 +39,6 @@ func NewFileStore(path string, opts ...FileStoreOption) *FileStore {
 
 // WithoutSync disables the per-save fsync on a FileStore.
 func WithoutSync() FileStoreOption { return store.WithoutSync() }
-
-// NewAsyncSaver returns a background saver over st.
-func NewAsyncSaver(st Store) *AsyncSaver { return store.NewAsyncSaver(st) }
 
 // NewFaultyStore wraps st with fault injection.
 func NewFaultyStore(st Store) *FaultyStore { return store.NewFaulty(st) }

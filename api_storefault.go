@@ -65,7 +65,7 @@ var (
 
 // NewFaultInjector wraps base (nil means the OS passthrough) with an empty
 // fault schedule; Arm faults on it and pass it to the media via
-// FileWithFS/JournalWithFS/LanesWithFS.
+// FileWithFS/LanesWithFS.
 func NewFaultInjector(base FaultFS) *FaultInjector {
 	return storefault.NewInjector(base)
 }
@@ -77,18 +77,11 @@ func OSFaultFS() FaultFS { return storefault.OS() }
 // FileWithFS routes a FileStore's filesystem operations through fsys.
 func FileWithFS(fsys FaultFS) FileStoreOption { return store.FileWithFS(fsys) }
 
-// JournalWithFS routes a Journal's filesystem operations through fsys.
-func JournalWithFS(fsys FaultFS) JournalOption { return store.JournalWithFS(fsys) }
-
-// JournalOnPoison registers a callback invoked once, with the sticky I/O
-// error, at the moment a journal poisons itself (fsync failure, unrescued
-// write failure, or a failed compaction publish).
-func JournalOnPoison(fn func(error)) JournalOption { return store.JournalOnPoison(fn) }
-
 // LanesWithFS routes every lane's filesystem operations through fsys.
 func LanesWithFS(fsys FaultFS) LanesOption { return store.LanesWithFS(fsys) }
 
-// LanesOnPoison registers a callback invoked once per lane quarantine with
+// LanesOnPoison registers a callback invoked once per lane quarantine (fsync
+// failure, unrescued write failure, or a failed compaction publish) with
 // the lane index and the sticky error — the hook the telemetry layer's lane
 // fault events hang off.
 func LanesOnPoison(fn func(lane int, err error)) LanesOption {

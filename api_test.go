@@ -14,7 +14,7 @@ import (
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // waitUp polls until the endpoint reports StateUp (the post-wake SAVE runs
-// on a background goroutine under an AsyncSaver).
+// on a background goroutine under a SaverPool).
 func waitUp(t *testing.T, state func() antireplay.State, wakeErr func() error) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -290,13 +290,13 @@ func BenchmarkJournalAppendLaggingFollower(b *testing.B) {
 
 func benchJournalAppend(b *testing.B, laggingFollower bool) {
 	b.Helper()
-	j, err := antireplay.NewJournal(filepath.Join(b.TempDir(), "j.log"), antireplay.JournalWithoutSync())
+	j, err := antireplay.NewLanes(filepath.Join(b.TempDir(), "j"), antireplay.LanesCount(1), antireplay.LanesWithoutSync())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer j.Close()
 	if laggingFollower {
-		tl, err := j.Follow()
+		tl, err := j.LaneJournals()[0].Follow()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -142,7 +142,7 @@ func writeJSON(path string, fast bool, tables []*experiments.Table) error {
 			"failover_blackout":           "virtual time from primary crash to DPD-confirmed resurrection of the promoted standby, per loss rate",
 			"hotpath":                     "PR 5 acceptance metrics: journal_append_recs_per_sec (64 parallel savers, no-fsync), admission_*_ns_op (per-packet anti-replay), hotpath_allocs_op (pinned 0 on every steady-state row)",
 			"pr5_pre_pr_baselines":        "medians of runs alternated with the pre-PR 5 tree on the same host/session: journal append 64-way 1296 ns/op, 3 allocs/op (PR 5: ~404 ns/op, 0 allocs — 3.2x); admission fast path 76.6 ns/op (PR 5: ~37.7 — 2.0x); parallel Seal 1678 ns/op, 12 allocs/op (PR 5 SealAppend: ~575, 0 allocs); replication save-to-ack 246970 rec/s pre-PR on this host (PR 4's committed figure was ~70k rec/s on a busier host)",
-			"scale":                       "PR 6 acceptance metrics: cold-start recovery of the same counter population through a single-lane generic journal vs the laned compact-cell medium (recover_lanes detail carries the speedup), 64-way laned SAVE ns_op/allocs_op, and live heap bytes per installed inbound SA",
+			"scale":                       "PR 6 acceptance metrics: cold-start recovery of the same counter population through a one-lane medium vs the 64-lane medium (recover_lanes detail carries the speedup), 64-way laned SAVE ns_op/allocs_op, and live heap bytes per installed inbound SA",
 			"transport":                   "PR 7 acceptance metrics: transport_udp_per_sec is seal->UDP-loopback-socket->verify packets/sec per payload size ('-' = sockets unavailable, rows skipped); transport_hostile_drops shows every hostile fragment scenario rejected with zero deliveries and bounded reassembly memory",
 			"campaigns":                   "PR 8 acceptance metrics: campaigns_goodput per campaign/defense row must clear campaigns_floor (bounded degradation under a live stealth-DoS campaign), campaigns_replay_accepts must be 0 everywhere, and each campaign's hardened knob (wider W, smaller K, higher rekey MaxAttempts) measurably improves the bound — the experiment errors otherwise, so a present table is a passing table",
 		},

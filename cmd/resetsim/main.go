@@ -186,7 +186,7 @@ func main() {
 		leap     = flag.Float64("leap", 0, "leap factor override (0 = paper's 2)")
 		rekeyN   = flag.Uint64("rekey-every", 0, "roll the SA over every n delivered packets on a gateway pair (0 = plain flow mode)")
 		failN    = flag.Uint64("failover-every", 0, "crash the receiver gateway and promote its cluster standby every n delivered packets (0 = no cluster)")
-		lanesN   = flag.Int("lanes", 1, "journal commit lanes per node in the gateway modes (>1 opens the laned medium)")
+		lanesN   = flag.Int("lanes", 1, "journal commit lanes per node in the gateway modes")
 		sasN     = flag.Int("sas", 1, "total inbound SAs on the cluster node in failover mode (extras spread across lanes and wake on every takeover)")
 		trans    = flag.String("transport", "mem", "gateway-mode wire transport: mem (in-process) or udp (real UDP-encapsulated loopback sockets)")
 		campaign = flag.String("campaign", "", "run one stealth-DoS campaign (baseline + hardened rows) and exit: window_edge, save_storm, rekey_cutover, or blackout_flood")
@@ -363,15 +363,12 @@ func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, 
 		return err
 	}
 	defer os.RemoveAll(dir)
-	// openJ opens a node's medium by name — the laned journal when -lanes
-	// asks for one — and is also the reboot path, so a dead node comes back
-	// on the same medium shape it crashed with.
-	openJ := func(name string) (store.Medium, error) {
-		if lanes > 1 {
-			return store.OpenLanes(filepath.Join(dir, name), store.LanesCount(lanes),
-				store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
-		}
-		return store.OpenJournal(filepath.Join(dir, name+".log"))
+	// openJ opens a node's medium by name with -lanes commit lanes, and is
+	// also the reboot path, so a dead node comes back on the same medium
+	// shape it crashed with.
+	openJ := func(name string) (*store.Lanes, error) {
+		return store.OpenLanes(filepath.Join(dir, name), store.LanesCount(max(lanes, 1)),
+			store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
 	}
 
 	jA, err := openJ("sender")
@@ -394,7 +391,7 @@ func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, 
 		jB.Close()
 		return err
 	}
-	nodeNames := map[store.Medium]string{jB: "node-a"}
+	nodeNames := map[*store.Lanes]string{jB: "node-a"}
 
 	rng := rand.New(rand.NewSource(seed))
 	res, err := ike.Establish(ike.Config{PSK: []byte("resetsim"), ID: "gw-a",
@@ -454,7 +451,7 @@ func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, 
 		return err
 	}
 	tele.setRoles(A, B, standby)
-	journals := []store.Medium{jB, jS}
+	journals := []*store.Lanes{jB, jS}
 	defer func() {
 		for _, j := range journals {
 			j.Close()
@@ -592,16 +589,8 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 	}
 	defer os.RemoveAll(dir)
 	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		var (
-			j   store.Medium
-			err error
-		)
-		if lanes > 1 {
-			j, err = store.OpenLanes(filepath.Join(dir, name), store.LanesCount(lanes),
-				store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
-		} else {
-			j, err = store.OpenJournal(filepath.Join(dir, name+".journal"))
-		}
+		j, err := store.OpenLanes(filepath.Join(dir, name), store.LanesCount(max(lanes, 1)),
+			store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
 		if err != nil {
 			return nil, err
 		}

@@ -75,9 +75,7 @@ func newSimTelemetry(addr string) (*simTelemetry, error) {
 	}))
 	t.reg.RegisterCollector("apn_journal", telemetry.CollectorFunc(func(emit telemetry.Emit) {
 		if g := t.getPrimary(); g != nil {
-			if c, ok := g.Journal().(telemetry.Collector); ok {
-				c.CollectTelemetry(emit)
-			}
+			g.Journal().CollectTelemetry(emit)
 		}
 	}))
 	t.reg.RegisterCollector("apn_cluster", telemetry.CollectorFunc(func(emit telemetry.Emit) {

@@ -48,10 +48,10 @@
 // host-level association with automatic recovery and rekeying.
 //
 // At gateway scale the per-SA file-and-goroutine pattern does not hold up:
-// a Journal multiplexes every SA's counter into one append-only log with
-// group-committed fsyncs, a SaverPool bounds the background-save workers,
-// and Gateway binds a lock-striped SAD and an SPD to both (see README.md,
-// "Journal design notes").
+// a Lanes medium multiplexes every SA's counter into append-only commit-lane
+// logs with group-committed fsyncs, a SaverPool bounds the background-save
+// workers, and Gateway binds a lock-striped SAD and an SPD to both (see
+// README.md, "Journal design notes").
 //
 // The per-packet datapath is concurrency-first. NewAtomicWindow (or
 // ReceiverConfig.Concurrent) selects a Linux-xfrm/WireGuard-style
@@ -73,10 +73,10 @@
 // removes the assumption by never delivering at or beyond committed+leap,
 // making the no-duplicate-delivery guarantee unconditional.
 //
-// For high availability a Standby replicates a gateway's Journal into a
-// follower journal (snapshot-then-tail over the committed record stream,
-// registered as the journal's sync follower so replication joins fsync in
-// the durability contract) and keeps a warm, down-state image of the SA
+// For high availability a Standby replicates a gateway's Lanes medium into
+// a follower medium, lane by lane (snapshot-then-tail over each lane's
+// committed record stream, registered as the lane's sync follower so
+// replication joins fsync in the durability contract) and keeps a warm, down-state image of the SA
 // population (Gateway.Snapshot / Standby.Mirror). Standby.Takeover is the
 // epoch-fenced promotion: fence the deposed journal, drain the stream,
 // durably bump the cluster epoch, and wake every SA from its replicated

@@ -101,7 +101,7 @@ func ExampleSender_NextN() {
 // exampleGateway builds a journal-backed gateway in a temp dir; examples
 // share it via defer-cleanup.
 func exampleGateway(dir string) (*antireplay.Gateway, error) {
-	journal, err := antireplay.NewJournal(filepath.Join(dir, "gw.journal"))
+	journal, err := antireplay.NewLanes(filepath.Join(dir, "gw"), antireplay.LanesCount(1))
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,7 @@ func ExampleNewStandby() {
 		return
 	}
 
-	follower, err := antireplay.NewJournal(filepath.Join(dir, "standby.journal"))
+	follower, err := antireplay.NewLanes(filepath.Join(dir, "standby"), antireplay.LanesCount(1))
 	if err != nil {
 		fmt.Println(err)
 		return

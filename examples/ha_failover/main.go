@@ -82,8 +82,8 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	openJournal := func(name string) *antireplay.Journal {
-		j, err := antireplay.NewJournal(filepath.Join(dir, name+".journal"))
+	openJournal := func(name string) *antireplay.Lanes {
+		j, err := antireplay.NewLanes(filepath.Join(dir, name), antireplay.LanesCount(1))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -36,9 +36,9 @@ func raceIKE(seed int64, id string) ike.Config {
 
 func raceGateway(t *testing.T, name string) *ipsec.Gateway {
 	t.Helper()
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), name+".journal"), store.JournalWithoutSync())
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), name), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
 	g, err := ipsec.NewGateway(ipsec.GatewayConfig{

@@ -76,14 +76,14 @@ const DefaultBatchMax = 256
 
 // Config parameterizes a Standby.
 type Config struct {
-	// Source is the primary's durable medium — the replication source: a
-	// single *store.Journal or a laned *store.Lanes. Required.
-	Source store.Medium
+	// Source is the primary's durable medium — the replication source.
+	// Required.
+	Source *store.Lanes
 	// Journal is the standby's own (follower) medium, the one a takeover
 	// wakes from. It must have the same number of commit lanes as Source —
 	// replication runs lane-to-lane, so the key-to-lane hash must agree on
 	// both sides. Required.
-	Journal store.Medium
+	Journal *store.Lanes
 	// K, W, ESN, Workers, Lifetime and Clock configure the warm gateway
 	// image exactly as ipsec.GatewayConfig does; they should match the
 	// primary's settings.
@@ -195,7 +195,7 @@ func (l *laneRepl) ack(next uint64) {
 }
 
 // journalEpoch reads a medium's cluster epoch (0 when never set).
-func journalEpoch(m store.Medium) uint64 {
+func journalEpoch(m *store.Lanes) uint64 {
 	v, ok, err := m.Cell(EpochKey).Fetch()
 	if err != nil || !ok {
 		return 0

@@ -33,9 +33,9 @@ func testSel(rev bool) ipsec.Selector {
 	return ipsec.Selector{Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(dst, 32)}
 }
 
-func openJournal(t *testing.T, path string) *store.Journal {
+func openJournal(t *testing.T, path string) *store.Lanes {
 	t.Helper()
-	j, err := store.OpenJournal(path, store.JournalWithoutSync())
+	j, err := store.OpenLanes(path, store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func openRetry(t *testing.T, gw *ipsec.Gateway, wire []byte) core.Verdict {
 // primary over jP, standby over jS replicating jP.
 type haPair struct {
 	A, B    *ipsec.Gateway
-	jA, jP  *store.Journal
-	jS      *store.Journal
+	jA, jP  *store.Lanes
+	jS      *store.Lanes
 	standby *Standby
 	abSPI   uint32
 	baSPI   uint32
@@ -299,7 +299,7 @@ func TestDoubleFailoverFailbackNoCounterRegression(t *testing.T) {
 	if err := h.jP.Close(); err != nil {
 		t.Fatal(err)
 	}
-	jP2, err := store.OpenJournal(filepath.Join(dir, "primary.log"), store.JournalWithoutSync())
+	jP2, err := store.OpenLanes(filepath.Join(dir, "primary"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}

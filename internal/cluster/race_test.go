@@ -245,7 +245,7 @@ func TestRaceFailoverRekeyDatapath(t *testing.T) {
 			path := oldJournal.Path()
 			old.Close()
 			oldJournal.Close()
-			jre, err := store.OpenJournal(path, store.JournalWithoutSync())
+			jre, err := store.OpenLanes(path, store.LanesCount(1), store.LanesWithoutSync())
 			if err != nil {
 				t.Errorf("round %d reboot: %v", round, err)
 				ctl.Unlock()

@@ -13,7 +13,7 @@
 //
 // Both endpoints are safe for concurrent use and are driven either by the
 // deterministic simulator (netsim.SimSaver, virtual time) or by real
-// goroutines (store.AsyncSaver, wall clock).
+// goroutines (store.SaverPool, wall clock).
 package core
 
 import (
@@ -78,7 +78,7 @@ func (s State) String() string {
 // "& SAVE(s) executed in background". done (possibly nil) must be invoked
 // exactly once with the save's result, unless the saver is canceled by a
 // reset first. netsim.SimSaver implements this over virtual time and
-// store.AsyncSaver over goroutines; SyncSaver degenerates to an immediate
+// store.PoolSaver over goroutines; SyncSaver degenerates to an immediate
 // synchronous save.
 type BackgroundSaver interface {
 	StartSave(v uint64, done func(error))

@@ -594,7 +594,32 @@ func (r *Receiver) Wake() {
 		r.finishWake(gen, leaped, nil)
 		return
 	}
-	r.startSave(gen, leaped, true, func(v uint64, err error) { r.finishWake(gen, v, err) })
+	// A synchronous saver completes inside StartSave, with saveMu held.
+	// finishWake must then wait until startSave returns: deciding the
+	// buffered messages can trigger saves of their own, and saveMu is not
+	// reentrant.
+	var (
+		mu        sync.Mutex
+		handedOff bool
+		inline    bool
+		inlineErr error
+	)
+	r.startSave(gen, leaped, true, func(v uint64, err error) {
+		mu.Lock()
+		if !handedOff {
+			inline, inlineErr = true, err
+			mu.Unlock()
+			return
+		}
+		mu.Unlock()
+		r.finishWake(gen, v, err)
+	})
+	mu.Lock()
+	handedOff = true
+	mu.Unlock()
+	if inline {
+		r.finishWake(gen, leaped, inlineErr)
+	}
 }
 
 func (r *Receiver) failWake(gen uint64, err error) {

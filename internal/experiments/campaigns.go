@@ -373,7 +373,7 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 	const k = 25
 	payload := make([]byte, 280)
 	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		j, err := store.OpenJournal(filepath.Join(dir, name+".journal"), store.JournalWithoutSync())
+		j, err := store.OpenLanes(filepath.Join(dir, name), store.LanesCount(1), store.LanesWithoutSync())
 		if err != nil {
 			return nil, err
 		}
@@ -561,8 +561,8 @@ func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 		return campRow{}, err
 	}
 	defer os.RemoveAll(dir)
-	openJ := func(name string) (store.Medium, error) {
-		return store.OpenJournal(filepath.Join(dir, name+".log"), store.JournalWithoutSync())
+	openJ := func(name string) (*store.Lanes, error) {
+		return store.OpenLanes(filepath.Join(dir, name), store.LanesCount(1), store.LanesWithoutSync())
 	}
 	jA, err := openJ("peer")
 	if err != nil {

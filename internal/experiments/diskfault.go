@@ -203,7 +203,7 @@ func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, opts ...store.Lane
 	}
 	p.b = b
 
-	jA, err := store.OpenJournal(filepath.Join(dir, "sender.log"), store.JournalWithoutSync())
+	jA, err := store.OpenLanes(filepath.Join(dir, "sender"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		return fail(err)
 	}
@@ -221,7 +221,7 @@ func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, opts ...store.Lane
 	p.dst = netip.AddrFrom4([4]byte{10, 9, 0, 1})
 	fill := make([]int, laneCount)
 	for spi := uint32(0xD100_0000); ; spi++ {
-		lane := laneIndex(lanes, ipsec.InboundKey(spi))
+		lane := lanes.Cell(ipsec.InboundKey(spi)).Lane()
 		if fill[lane] >= perLane {
 			continue
 		}
@@ -252,17 +252,6 @@ func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, opts ...store.Lane
 		}
 	}
 	return p, nil
-}
-
-// laneIndex resolves the victim lane hosting key.
-func laneIndex(l *store.Lanes, key string) int {
-	target := l.Lane(key)
-	for i, j := range l.LaneJournals() {
-		if j == target {
-			return i
-		}
-	}
-	return 0 // unreachable: Lane always returns one of LaneJournals
 }
 
 func (p *diskPair) close() {
@@ -388,9 +377,11 @@ func (p *diskPair) checkCommitted(floors []uint64) error {
 	return nil
 }
 
-// laneFile is the substring an injected fault uses to target one lane's
-// log (the lane file naming is part of the manifest contract).
-func laneFile(lane int) string { return fmt.Sprintf("lane-%03d.log", lane) }
+// laneFile is the substring an injected fault uses to target one lane of
+// the victim's medium: the base name of that lane's log.
+func (p *diskPair) laneFile(lane int) string {
+	return filepath.Base(p.lanes.LaneJournals()[lane].Path())
+}
 
 // fsyncStormRow quarantines several lanes at once: every fsync on lanes 0
 // and 1 fails, forever, mid-traffic. The first failed SAVE poisons each —
@@ -413,8 +404,8 @@ func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 
 	faulted := []int{0, 1}
 	p.in.Arm(
-		storefault.Fault{Op: storefault.OpSync, Path: laneFile(0), Err: syscall.EIO},
-		storefault.Fault{Op: storefault.OpSync, Path: laneFile(1), Err: syscall.EIO},
+		storefault.Fault{Op: storefault.OpSync, Path: p.laneFile(0), Err: syscall.EIO},
+		storefault.Fault{Op: storefault.OpSync, Path: p.laneFile(1), Err: syscall.EIO},
 	)
 	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("storm2-%02d-%06d", i, k)) }
 	got, err := p.phase(cfg.Packets, payload2)
@@ -513,7 +504,7 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 		return diskRow{}, err
 	}
 	defer p2.close()
-	p2.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: laneFile(0), Count: 1, Err: syscall.ENOSPC})
+	p2.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: p2.laneFile(0), Count: 1, Err: syscall.ENOSPC})
 	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("enospc2-%02d-%06d", i, k)) }
 	got2, err := p2.phase(n, payload2)
 	if err != nil {
@@ -609,7 +600,7 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 
 	// Kill the last lane's disk: every write EIO, forever.
 	dead := cfg.Lanes - 1
-	p.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: laneFile(dead), Err: syscall.EIO})
+	p.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: p.laneFile(dead), Err: syscall.EIO})
 	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("eio2-%03d-%06d", i, k)) }
 	got2, err := p.phase(cfg.Packets, payload2)
 	if err != nil {

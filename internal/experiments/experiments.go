@@ -219,7 +219,7 @@ func All() []Runner {
 			}
 			return Hotpath(cfg)
 		}},
-		{ID: "scale", Paper: "extension: journal lanes at million-SA scale (concurrent recovery, compact cells, per-SA heap)", Run: func(fast bool) (*Table, error) {
+		{ID: "scale", Paper: "extension: journal lanes at million-SA scale (concurrent recovery, per-SA heap)", Run: func(fast bool) (*Table, error) {
 			cfg := DefaultScaleConfig()
 			if fast {
 				cfg.Cells = 50_000

@@ -31,9 +31,8 @@ type FailoverConfig struct {
 	PacketsPerPhase int
 	// K is the SAVE interval of every SA.
 	K uint64
-	// Lanes is the number of journal commit lanes per node; <= 1 runs the
-	// single-file journal. With more, every node's medium is a laned
-	// journal and replication runs lane-to-lane.
+	// Lanes is the number of journal commit lanes per node (<= 1 means
+	// one); replication runs lane-to-lane.
 	Lanes int
 }
 
@@ -111,16 +110,17 @@ func ReplicationThroughput(records, producers int) (float64, error) {
 		return 0, err
 	}
 	defer os.RemoveAll(dir)
-	src, err := store.OpenJournal(filepath.Join(dir, "src.log"), store.JournalWithoutSync())
+	srcMedium, err := store.OpenLanes(filepath.Join(dir, "src"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		return 0, err
 	}
-	defer src.Close()
-	dst, err := store.OpenJournal(filepath.Join(dir, "dst.log"), store.JournalWithoutSync())
+	defer srcMedium.Close()
+	dstMedium, err := store.OpenLanes(filepath.Join(dir, "dst"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		return 0, err
 	}
-	defer dst.Close()
+	defer dstMedium.Close()
+	src, dst := srcMedium.LaneJournals()[0], dstMedium.LaneJournals()[0]
 
 	tl, err := src.Follow()
 	if err != nil {
@@ -338,15 +338,12 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Each node's medium: a laned journal directory when cfg.Lanes asks for
-	// one, else the single-file journal (same helper reopens either — the
-	// failback reboot below must come back on the same medium shape).
-	openJ := func(name string) (store.Medium, error) {
-		if cfg.Lanes > 1 {
-			return store.OpenLanes(filepath.Join(dir, name),
-				store.LanesCount(cfg.Lanes), store.LanesWithoutSync())
-		}
-		return store.OpenJournal(filepath.Join(dir, name+".log"), store.JournalWithoutSync())
+	// Each node's medium, with cfg.Lanes commit lanes (the same helper
+	// is the failback reboot path, which must come back on the same medium
+	// shape).
+	openJ := func(name string) (*store.Lanes, error) {
+		return store.OpenLanes(filepath.Join(dir, name),
+			store.LanesCount(max(cfg.Lanes, 1)), store.LanesWithoutSync())
 	}
 	jA, err := openJ("peer")
 	if err != nil {

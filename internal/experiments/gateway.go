@@ -86,8 +86,8 @@ func GatewayPersistence(cfg GatewayConfig) (*Table, error) {
 		}
 
 		// Shared journal + pool.
-		j, err := store.OpenJournal(filepath.Join(dir, "gw.journal"),
-			store.JournalBatchDelay(cfg.BatchDelay))
+		j, err := store.OpenLanes(filepath.Join(dir, "gw"), store.LanesCount(1),
+			store.LanesBatchDelay(cfg.BatchDelay))
 		if err != nil {
 			os.RemoveAll(dir)
 			return nil, fmt.Errorf("experiments: gateway journal: %w", err)

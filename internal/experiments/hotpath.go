@@ -75,7 +75,7 @@ func hotpathJournalRows(t *Table, cfg HotpathConfig) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	j, err := store.OpenJournal(filepath.Join(dir, "j.log"), store.JournalWithoutSync())
+	j, err := store.OpenLanes(filepath.Join(dir, "j"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		return err
 	}

@@ -79,10 +79,10 @@ func overheadRun(dir, medium string, k uint64, messages int) (nsPerMsg float64, 
 	if k == 0 {
 		cfg = core.SenderConfig{Baseline: true}
 	}
-	var saver *store.AsyncSaver
+	var pool *store.SaverPool
 	if k > 0 {
-		saver = store.NewAsyncSaver(st)
-		cfg.Saver = saver
+		pool = store.NewSaverPool(1)
+		cfg.Saver = pool.Saver(st)
 	}
 	snd, err := core.NewSender(cfg)
 	if err != nil {
@@ -96,8 +96,8 @@ func overheadRun(dir, medium string, k uint64, messages int) (nsPerMsg float64, 
 		}
 	}
 	elapsed := time.Since(start)
-	if saver != nil {
-		saver.Close() // wait for in-flight saves before reading stats
+	if pool != nil {
+		pool.Close() // wait for in-flight saves before reading stats
 	}
 	return float64(elapsed.Nanoseconds()) / float64(messages), snd.Stats().SavesStarted, nil
 }

@@ -118,7 +118,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	const k = 25
 	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		j, err := store.OpenJournal(filepath.Join(dir, name+".journal"))
+		j, err := store.OpenLanes(filepath.Join(dir, name), store.LanesCount(1))
 		if err != nil {
 			return nil, err
 		}

@@ -34,18 +34,19 @@ func DefaultScaleConfig() ScaleConfig {
 }
 
 // Scale measures the journal-lanes subsystem at gateway scale: cold-start
-// recovery of the same counter population through a single-lane journal
-// (generic string-keyed representation) versus the laned medium (compact
-// packed-key cells, lanes replayed concurrently), the steady-state cost of
+// recovery of the same counter population through a one-lane medium
+// (Lanes(1): one log replayed serially) versus the laned medium (lanes
+// replayed concurrently), the steady-state cost of
 // 64 concurrent savers spread across lanes, and the pinned per-SA heap
 // footprint of a fully installed inbound SA population.
 func Scale(cfg ScaleConfig) (*Table, error) {
 	t := &Table{
 		ID:    "scale",
 		Title: "million-SA scale: laned recovery, 64-way SAVE, per-SA heap",
-		Note: "Expect recover_lanes at least 2x faster than recover_single on the same population: lane " +
-			"replay parses frames into packed uint64-keyed cells (no per-key string or map-bucket churn) " +
-			"and lanes recover concurrently. save_lanes_64 is the gateway-scale SAVE shape routed across " +
+		Note: "recover_single replays the population through a one-lane medium (Lanes(1)); recover_lanes " +
+			"replays the same population split across lanes, which recover concurrently, so the speedup " +
+			"scales with cores. Both parse frames into packed uint64-keyed cells (no per-key string or " +
+			"map-bucket churn). save_lanes_64 is the gateway-scale SAVE shape routed across " +
 			"lanes at 0 allocs_op; with ~one saver per lane each lane's group commit covers ~one frame, " +
 			"so the laned append trades the single log's cross-saver write batching (hotpath's " +
 			"journal_save_64, which this PR must not and does not regress) for per-lane committers and " +
@@ -78,9 +79,9 @@ func addScaleRow(t *Table, path string, ops int, elapsed time.Duration, detail s
 // measures the 64-way steady-state SAVE on the lanes, then closes both and
 // times the cold-start replay of each.
 func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
-	singlePath := filepath.Join(dir, "single.log")
+	singlePath := filepath.Join(dir, "single")
 	lanesDir := filepath.Join(dir, "lanes")
-	single, err := store.OpenJournal(singlePath, store.JournalWithoutSync())
+	single, err := store.OpenLanes(singlePath, store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		return err
 	}
@@ -158,16 +159,16 @@ func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
 
 	// Cold-start recovery: reopen each medium and replay its whole log.
 	start = time.Now()
-	single2, err := store.OpenJournal(singlePath, store.JournalWithoutSync())
+	single2, err := store.OpenLanes(singlePath, store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		return err
 	}
 	singleElapsed := time.Since(start)
 	defer single2.Close()
 	if got := single2.Keys(); got != cfg.Cells {
-		return fmt.Errorf("scale: single journal recovered %d keys, want %d", got, cfg.Cells)
+		return fmt.Errorf("scale: single lane recovered %d keys, want %d", got, cfg.Cells)
 	}
-	addScaleRow(t, "recover_single", cfg.Cells, singleElapsed, "1 lane, generic string-keyed cells")
+	addScaleRow(t, "recover_single", cfg.Cells, singleElapsed, "1 lane")
 
 	start = time.Now()
 	lanes2, err := store.OpenLanes(lanesDir, store.LanesWithoutSync())
@@ -180,7 +181,7 @@ func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
 		return fmt.Errorf("scale: lanes recovered %d keys, want %d", got, cfg.Cells)
 	}
 	addScaleRow(t, "recover_lanes", cfg.Cells, lanesElapsed,
-		fmt.Sprintf("%d lanes, compact cells, speedup=%.2fx",
+		fmt.Sprintf("%d lanes, speedup=%.2fx",
 			lanes2.LaneCount(), float64(singleElapsed)/float64(lanesElapsed)))
 	return nil
 }

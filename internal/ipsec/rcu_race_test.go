@@ -23,7 +23,7 @@ import (
 //   - exactly-once: no sequence number is ever delivered twice, across all
 //     generations, under any interleaving of cutovers and lookups.
 func TestRaceRCUDatapath(t *testing.T) {
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "j.log"), store.JournalWithoutSync())
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "j"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ func ikeCfg(seed int64, id string) ike.Config {
 
 func gatewayT(t *testing.T, name string, life ipsec.Lifetime) *ipsec.Gateway {
 	t.Helper()
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), name+".journal"))
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), name), store.LanesCount(1))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
 	g, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: j, K: 5, W: 64, Lifetime: life})

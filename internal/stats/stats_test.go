@@ -151,48 +151,6 @@ func TestWelfordEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // [0,50) in 5 buckets
-	for _, x := range []float64{-1, 0, 5, 10, 15, 49.999, 50, 100} {
-		h.Add(x)
-	}
-	if got := h.Under(); got != 1 {
-		t.Errorf("Under = %d, want 1", got)
-	}
-	if got := h.Over(); got != 2 {
-		t.Errorf("Over = %d, want 2", got)
-	}
-	if got := h.Bucket(0); got != 2 { // 0, 5
-		t.Errorf("Bucket(0) = %d, want 2", got)
-	}
-	if got := h.Bucket(1); got != 2 { // 10, 15
-		t.Errorf("Bucket(1) = %d, want 2", got)
-	}
-	if got := h.Bucket(4); got != 1 { // 49.999
-		t.Errorf("Bucket(4) = %d, want 1", got)
-	}
-	if got := h.Total(); got != 8 {
-		t.Errorf("Total = %d, want 8", got)
-	}
-	if got := h.BucketLow(3); got != 30 {
-		t.Errorf("BucketLow(3) = %g, want 30", got)
-	}
-	b := h.Buckets()
-	b[0] = 999
-	if h.Bucket(0) == 999 {
-		t.Error("Buckets must return a copy")
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram(0,0,0) should panic")
-		}
-	}()
-	NewHistogram(0, 0, 0)
-}
-
 func TestLinearFitExactLine(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := make([]float64, len(xs))

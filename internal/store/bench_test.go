@@ -64,13 +64,14 @@ func BenchmarkFileFetch(b *testing.B) {
 	}
 }
 
-func BenchmarkAsyncSaverThroughput(b *testing.B) {
+func BenchmarkSaverPoolThroughput(b *testing.B) {
 	var m Mem
-	a := NewAsyncSaver(&m)
+	p := NewSaverPool(1)
+	s := p.Saver(&m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.StartSave(uint64(i), nil)
+		s.StartSave(uint64(i), nil)
 	}
-	a.Close()
+	p.Close()
 }

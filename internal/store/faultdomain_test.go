@@ -17,13 +17,13 @@ import (
 
 // faultyJournalAt opens a journal whose file layer sits on a fresh
 // injector, returning both.
-func faultyJournalAt(t *testing.T, opts ...JournalOption) (*Journal, *storefault.Injector) {
+func faultyJournalAt(t *testing.T, opts ...LanesOption) (*Journal, *storefault.Injector) {
 	t.Helper()
 	in := storefault.NewInjector(nil)
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "sa.journal"),
-		append([]JournalOption{JournalWithFS(in)}, opts...)...)
+	j, err := openSegment(filepath.Join(t.TempDir(), "sa.journal"),
+		append([]LanesOption{LanesWithFS(in)}, opts...)...)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	return j, in
 }
@@ -90,9 +90,9 @@ func TestJournalPoisonNotMaskedByClose(t *testing.T) {
 func TestJournalPoisonFreezesWatermark(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
 	in := storefault.NewInjector(nil)
-	j, err := OpenJournal(path, JournalWithFS(in))
+	j, err := openSegment(path, LanesWithFS(in))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	c := j.Cell("tx/1")
 	for v := uint64(1); v <= 5; v++ {
@@ -110,7 +110,7 @@ func TestJournalPoisonFreezesWatermark(t *testing.T) {
 	// Reopen clean: the acked prefix must be there, the failed save must
 	// not have been acknowledged as durable (it was not), and recovery
 	// must not invent it.
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -170,9 +170,9 @@ func TestJournalCompactRenameFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sa.journal")
 	in := storefault.NewInjector(nil)
-	j, err := OpenJournal(path, JournalWithFS(in), JournalCompactAt(1))
+	j, err := openSegment(path, LanesWithFS(in), LanesCompactAt(1))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	c := j.Cell("tx/1")
 	if err := c.Save(1); err != nil {
@@ -202,7 +202,7 @@ func TestJournalCompactRenameFailure(t *testing.T) {
 	if len(strays) != 0 {
 		t.Fatalf("stranded compaction temps: %v", strays)
 	}
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -217,9 +217,9 @@ func TestJournalCompactRenameFailure(t *testing.T) {
 func TestJournalSweepsStaleCompactTemps(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sa.journal")
-	j, err := OpenJournal(path)
+	j, err := openSegment(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	if err := j.Cell("tx/1").Save(9); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -229,7 +229,7 @@ func TestJournalSweepsStaleCompactTemps(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("half a snapshot"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

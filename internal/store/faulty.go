@@ -139,3 +139,29 @@ func (f *Faulty) LostSaves() uint64 {
 	defer f.mu.Unlock()
 	return f.lostSaves
 }
+
+// Latent wraps a Store and adds a fixed wall-clock delay to each Save,
+// emulating a slow persistent medium (the paper's T_save, e.g. 100µs for a
+// disk write on the paper's Pentium III testbed).
+type Latent struct {
+	inner Store
+	delay time.Duration
+}
+
+var _ Store = (*Latent)(nil)
+
+// NewLatent wraps inner so every Save sleeps for delay before persisting.
+func NewLatent(inner Store, delay time.Duration) *Latent {
+	return &Latent{inner: inner, delay: delay}
+}
+
+// Save sleeps for the configured delay, then persists v.
+func (l *Latent) Save(v uint64) error {
+	if l.delay > 0 {
+		time.Sleep(l.delay)
+	}
+	return l.inner.Save(v)
+}
+
+// Fetch reads the persisted value without added delay.
+func (l *Latent) Fetch() (uint64, bool, error) { return l.inner.Fetch() }

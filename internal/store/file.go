@@ -52,7 +52,7 @@ func WithoutSync() FileOption {
 }
 
 // FileWithFS routes the store's filesystem operations through fsys; see
-// JournalWithFS. A nil fsys keeps the default passthrough.
+// LanesWithFS. A nil fsys keeps the default passthrough.
 func FileWithFS(fsys storefault.FS) FileOption {
 	return func(f *File) {
 		if fsys != nil {

@@ -64,7 +64,7 @@ func fuzzJournalBytes(f *testing.F, recs map[string]uint64) []byte {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "seed.journal")
-	j, err := OpenJournal(path, JournalWithoutSync())
+	j, err := openSegment(path, LanesWithoutSync())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func fuzzJournalBytes(f *testing.F, recs map[string]uint64) []byte {
 // the frame decoder the stealth-reset story leans on hardest (a crashed
 // gateway trusts whatever this parser accepts). Invariants:
 //
-//   - OpenJournal never panics, whatever the file holds;
+//   - openJournal never panics, whatever the file holds;
 //   - a frame parseFrame accepts re-encodes canonically to the exact
 //     bytes it was decoded from (accepting a non-canonical or truncated
 //     frame would let crafted corruption alias a different record);
@@ -125,7 +125,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, raw, 0o600); err != nil {
 			t.Skip()
 		}
-		j, err := OpenJournal(path, JournalWithoutSync())
+		j, err := openSegment(path, LanesWithoutSync())
 		if err != nil {
 			return // rejected: fine
 		}
@@ -138,7 +138,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		j2, err := OpenJournal(path, JournalWithoutSync())
+		j2, err := openSegment(path, LanesWithoutSync())
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}

@@ -76,7 +76,7 @@ func FuzzFaultScheduleRecovery(f *testing.F) {
 		path := filepath.Join(t.TempDir(), "seq.journal")
 		// A small compaction threshold so long scripts cross it and the
 		// schedule gets shots at the temp-write/rename/remove path too.
-		j, err := OpenJournal(path, JournalWithFS(in), JournalCompactAt(256))
+		j, err := openSegment(path, LanesWithFS(in), LanesCompactAt(256))
 		if err != nil {
 			return // refused to open under faults: fine
 		}
@@ -114,7 +114,7 @@ func FuzzFaultScheduleRecovery(f *testing.F) {
 		// The disk is healthy again: recovery must hand back every acked
 		// value or refuse the file outright — never silently roll back.
 		in.Disarm()
-		j2, err := OpenJournal(path)
+		j2, err := openSegment(path)
 		if err != nil {
 			t.Skipf("clean reopen refused (explicit, acceptable): %v", err)
 		}

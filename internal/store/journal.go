@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -66,9 +67,10 @@ func journalCRC(ver uint16, b []byte) uint32 {
 // itself to one record per key.
 const DefaultCompactAt = 1 << 20
 
-// Journal is a single durable medium multiplexing many named counters: one
-// append-only, CRC-framed log file shared by every SA of a gateway, instead
-// of one file + one fsync stream per SA.
+// Journal is one commit lane of a Lanes medium: an append-only, CRC-framed
+// log segment multiplexing the named counters that route to the lane,
+// instead of one file + one fsync stream per SA. Only OpenLanes opens one,
+// and every lane reads the medium's one option set.
 //
 // Save runs a pipelined group commit. The caller encodes its record frame
 // outside any lock (a stack buffer; appendRecord allocates nothing), then
@@ -85,7 +87,7 @@ const DefaultCompactAt = 1 << 20
 // tombstone the same way, retiring a key when its SA is removed or rekeyed
 // away.
 //
-// Recovery (OpenJournal) replays the log in order — keeping the maximum
+// Recovery (openJournal) replays the log in order — keeping the maximum
 // value per key since the key's last tombstone — tolerates a torn tail (the
 // record a reset interrupted fails its CRC and is discarded), and truncates
 // the tail away so appends resume from a clean frame. When the log outgrows
@@ -108,37 +110,34 @@ type Journal struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	f  storefault.File
-	fs storefault.FS // filesystem all journal I/O goes through (storefault.OS default)
-	// vals holds generic string-keyed counters. With the compact-cell
-	// representation (JournalCompactCells) the fixed-width SA keys —
+	f storefault.File
+	// vals holds generic string-keyed counters. The fixed-width SA keys —
 	// "tx/xxxxxxxx" and "rx/xxxxxxxx" — live in pvals instead, packed into
 	// one uint64 each: no per-key string header, no per-record string
 	// allocation on replay, and cheaper map operations at million-SA scale.
 	// Every access goes through getVal/putVal/delVal, so the split is
-	// invisible outside this file; the on-disk format is identical either
-	// way (packed keys are re-encoded as their exact 11-byte names).
-	vals     map[string]uint64
-	pvals    map[uint64]uint64
-	claims   map[string]bool
-	pclaims  map[uint64]bool
-	logSize  int64
-	snapSize int64 // what a one-record-per-key snapshot would occupy
+	// invisible outside this file; packed keys are re-encoded as their exact
+	// 11-byte names on disk.
+	vals        map[string]uint64
+	pvals       map[uint64]uint64
+	claims      map[string]bool
+	pclaims     map[uint64]bool
+	logSize     int64
+	snapSize    int64 // what a one-record-per-key snapshot would occupy
 	closed      bool
 	ioErr       error // sticky append-path write error (poison; see poisonLocked)
 	poisonFired bool  // onPoison already notified for the current poison
 	fenceErr    error // sticky cluster fence; appends refused (see Fence)
-	recovery RecoveryStats
+	recovery    RecoveryStats
 
 	// Replication state (see tail.go). tail is a ring of the most recent
-	// records of the logical append stream — bounded by tailCap — so
+	// records of the logical append stream — bounded by cfg.tailCap — so
 	// attached Tails can ship them; tailMin is the sequence number of the
 	// ring's first record. syncTail, when set, gates save acknowledgment on
 	// the follower's applied position.
 	tails    map[*Tail]bool
 	tail     tailRing
 	tailMin  uint64
-	tailCap  int
 	syncTail *Tail
 
 	// Commit-pipeline state. Every staged record gets a sequence number; a
@@ -156,15 +155,9 @@ type Journal struct {
 	failedSeq uint64
 	syncErr   error
 
-	// Options.
-	sync           bool
-	compactAt      int64
-	batchDelay     time.Duration
-	strictRecovery bool
-	compactCells   bool
-	onPoison       func(error) // fired once per poisoning, mu held; see JournalOnPoison
-	lane           int         // lane index within a Lanes group; -1 standalone
-	ver            uint16      // on-disk format version; fixes the frame CRC kind
+	cfg  *lanesConfig // the medium's option set, shared by every lane; read-only
+	lane int          // lane index within the Lanes group
+	ver  uint16       // on-disk format version; fixes the frame CRC kind
 
 	// Counters.
 	appends     uint64
@@ -217,101 +210,11 @@ func (r *tailRing) drop(k int) {
 	r.n -= k
 }
 
-// JournalOption configures a Journal.
-type JournalOption func(*Journal)
-
-// JournalWithoutSync disables every fsync in the journal (group commits and
-// compaction). As with File's WithoutSync, a power loss may then lose
-// recent saves; a process crash may not.
-func JournalWithoutSync() JournalOption {
-	return func(j *Journal) { j.sync = false }
-}
-
-// JournalCompactAt sets the log size, in bytes, that triggers compaction.
-// Values <= 0 disable compaction.
-func JournalCompactAt(n int64) JournalOption {
-	return func(j *Journal) { j.compactAt = n }
-}
-
-// JournalBatchDelay makes the group-commit syncer linger for d before
-// issuing its fsync, letting more concurrent SAVEs join the batch — the
-// classic commit-delay knob of write-ahead logs. Durability is unchanged
-// (every Save still returns only after its record is fsynced); each save's
-// latency grows by up to d. Zero (the default) commits eagerly.
-func JournalBatchDelay(d time.Duration) JournalOption {
-	return func(j *Journal) { j.batchDelay = d }
-}
-
-// DefaultTailBuffer is the number of recent records a Journal retains for
-// tailing readers when JournalTailBuffer is not given.
+// DefaultTailBuffer is the number of recent records a lane retains for
+// tailing readers when LanesTailBuffer is not given.
 const DefaultTailBuffer = 1 << 12
 
-// JournalTailBuffer sets the retained-record window for tailing readers
-// (Follow): at least n recent records stay available, and the buffer is
-// trimmed back to n once it reaches 2n (amortizing the trim to O(1) per
-// append). A reader that falls behind the window resynchronizes by
-// snapshot-then-tail (ErrTailLagged), so the buffer bounds replication
-// memory, not correctness. Values < 1 are clamped to 1.
-func JournalTailBuffer(n int) JournalOption {
-	return func(j *Journal) {
-		if n < 1 {
-			n = 1
-		}
-		j.tailCap = n
-	}
-}
-
-// JournalStrictRecovery makes OpenJournal refuse (ErrCorrupt) when
-// CRC-valid records follow the first bad frame, instead of truncating
-// everything from the bad frame as a torn tail. Truncation is always safe
-// for crash tears (the dropped records' SAVEs never completed), but it
-// silently rolls a counter back if an already-durable record is later
-// damaged by the medium itself; strict recovery surfaces that case, at the
-// price of refusing some legitimate multi-record power-loss tails whose
-// later pages persisted before earlier ones. Prefer it on storage without
-// its own integrity checking.
-func JournalStrictRecovery() JournalOption {
-	return func(j *Journal) { j.strictRecovery = true }
-}
-
-// JournalCompactCells switches the journal to the compact cell
-// representation: the fixed-width SA keys ("tx/" and "rx/" plus eight hex
-// digits) are held packed into one machine word each instead of as
-// individual heap strings, and replay decodes them straight from the log
-// bytes with no per-record allocation. At a million SAs this cuts both the
-// resident footprint of the key population and — by roughly 4x on commodity
-// hardware — the cold-start replay time, which is why Lanes enables it on
-// every lane. The on-disk format is unchanged (keys are re-encoded as their
-// exact 11-byte names), so a journal can move between representations
-// freely; keys outside the SA namespaces keep the generic string path.
-func JournalCompactCells() JournalOption {
-	return func(j *Journal) { j.compactCells = true }
-}
-
-// JournalWithFS routes every filesystem operation of the journal — recovery
-// reads, appends, fsyncs, compaction's temp/rename dance — through fsys
-// instead of the default passthrough (storefault.OS). This is where a fault
-// schedule (storefault.Injector) plugs in: the hot path pays one interface
-// dispatch per write/sync either way, so the zero-alloc gates hold with or
-// without an injector installed. A nil fsys keeps the default.
-func JournalWithFS(fsys storefault.FS) JournalOption {
-	return func(j *Journal) {
-		if fsys != nil {
-			j.fs = fsys
-		}
-	}
-}
-
-// JournalOnPoison registers a hook fired exactly once per poisoning: when a
-// commit failure (or a failed Close flush) marks the journal permanently
-// unusable, fn receives the sticky error. The hook runs with the journal
-// mutex held, so it must not call back into the journal — record an event,
-// bump a gauge, notify a quarantine manager. A successful Repair re-arms it.
-func JournalOnPoison(fn func(error)) JournalOption {
-	return func(j *Journal) { j.onPoison = fn }
-}
-
-// RecoveryStats reports what one OpenJournal replay found: how many
+// RecoveryStats reports what one open-time replay found: how many
 // CRC-valid frames were applied, how many damaged regions were skipped
 // (each region is one or more frames whose original boundaries are
 // unknowable, so it counts once), and whether a torn tail was truncated.
@@ -340,29 +243,21 @@ func (j *Journal) RecoveryStats() RecoveryStats {
 	return j.recovery
 }
 
-// OpenJournal opens (or creates) the journal at path and recovers its state
-// by replaying the log: the value of each key is the maximum over its valid
-// records, a damaged mid-log region is skipped (see RecoveryStats), and a
-// torn or corrupt tail is truncated away. A corrupt header returns
+// openJournal opens (or creates) lane's segment at path and recovers its
+// state by replaying the log: the value of each key is the maximum over its
+// valid records, a damaged mid-log region is skipped (see RecoveryStats),
+// and a torn or corrupt tail is truncated away. A corrupt header returns
 // ErrCorrupt.
-func OpenJournal(path string, opts ...JournalOption) (*Journal, error) {
+func openJournal(path string, lane int, cfg *lanesConfig) (*Journal, error) {
 	j := &Journal{
-		path:      path,
-		fs:        storefault.OS(),
-		vals:      make(map[string]uint64),
-		sync:      true,
-		compactAt: DefaultCompactAt,
-		tailCap:   DefaultTailBuffer,
-		snapSize:  journalHeaderLen,
-		lane:      -1,
+		path:     path,
+		cfg:      cfg,
+		vals:     make(map[string]uint64),
+		pvals:    make(map[uint64]uint64),
+		snapSize: journalHeaderLen,
+		lane:     lane,
 	}
 	j.cond = sync.NewCond(&j.mu)
-	for _, o := range opts {
-		o(j)
-	}
-	if j.compactCells {
-		j.pvals = make(map[uint64]uint64)
-	}
 	if err := j.recover(); err != nil {
 		return nil, err
 	}
@@ -381,7 +276,7 @@ func (j *Journal) sweepStaleTemps() {
 		return
 	}
 	for _, p := range stale {
-		_ = j.fs.Remove(p)
+		_ = j.cfg.fs.Remove(p)
 	}
 }
 
@@ -453,11 +348,9 @@ func unpackKey(pk uint64) string {
 
 // getVal looks up key in whichever representation holds it (mu held).
 func (j *Journal) getVal(key string) (uint64, bool) {
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			v, ok2 := j.pvals[pk]
-			return v, ok2
-		}
+	if pk, ok := packKey(key); ok {
+		v, ok2 := j.pvals[pk]
+		return v, ok2
 	}
 	v, ok := j.vals[key]
 	return v, ok
@@ -465,22 +358,18 @@ func (j *Journal) getVal(key string) (uint64, bool) {
 
 // putVal stores key=v in whichever representation owns the key (mu held).
 func (j *Journal) putVal(key string, v uint64) {
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			j.pvals[pk] = v
-			return
-		}
+	if pk, ok := packKey(key); ok {
+		j.pvals[pk] = v
+		return
 	}
 	j.vals[key] = v
 }
 
 // delVal erases key from whichever representation owns it (mu held).
 func (j *Journal) delVal(key string) {
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			delete(j.pvals, pk)
-			return
-		}
+	if pk, ok := packKey(key); ok {
+		delete(j.pvals, pk)
+		return
 	}
 	delete(j.vals, key)
 }
@@ -492,18 +381,21 @@ func (j *Journal) numKeys() int { return len(j.vals) + len(j.pvals) }
 // shape Values and Tail.Snapshot expose (mu held).
 func (j *Journal) valsSnapshot() map[string]uint64 {
 	out := make(map[string]uint64, j.numKeys())
-	for k, v := range j.vals {
-		out[k] = v
-	}
+	j.copyValsLocked(out)
+	return out
+}
+
+// copyValsLocked adds every live key to out, packed keys unpacked (mu held).
+func (j *Journal) copyValsLocked(out map[string]uint64) {
+	maps.Copy(out, j.vals)
 	for pk, v := range j.pvals {
 		out[unpackKey(pk)] = v
 	}
-	return out
 }
 
 // recover replays the log into j.vals and leaves j.f positioned for appends.
 func (j *Journal) recover() error {
-	data, err := j.fs.ReadFile(j.path)
+	data, err := j.cfg.fs.ReadFile(j.path)
 	if os.IsNotExist(err) {
 		return j.create()
 	}
@@ -540,10 +432,10 @@ func (j *Journal) recover() error {
 	// a replay), whereas the old truncate-everything-behind-it answer
 	// silently rolled durable counters back. The skip is surfaced through
 	// RecoveryStats and the process-wide RecoveryDropped counter;
-	// JournalStrictRecovery instead refuses the open (ErrCorrupt), for
+	// LanesStrictRecovery instead refuses the open (ErrCorrupt), for
 	// deployments that want a human in the loop before trusting a medium
 	// that damaged an acknowledged record.
-	if j.compactCells && len(data) > 64*journalFrameOverhead {
+	if len(data) > 64*journalFrameOverhead {
 		// Presize for replay: SA frames are spiKeyLen-keyed, so the frame
 		// count is close to size/(overhead+spiKeyLen); duplicates per key
 		// only make this an overestimate, which is what a presize wants.
@@ -557,7 +449,7 @@ func (j *Journal) recover() error {
 			if next < 0 {
 				break // torn tail: truncate from off
 			}
-			if j.strictRecovery {
+			if j.cfg.strictRecovery {
 				return fmt.Errorf("%w: journal record at offset %d (valid records follow)", ErrCorrupt, off)
 			}
 			j.recovery.FramesDropped++
@@ -566,24 +458,22 @@ func (j *Journal) recover() error {
 			continue
 		}
 		j.recovery.FramesReplayed++
-		if j.compactCells {
-			if pk, pok := packKeyBytes(kb); pok {
-				// The compact fast path: no string is ever materialized, so
-				// a million-record replay allocates nothing per record.
-				if del {
-					if _, seen := j.pvals[pk]; seen {
-						j.snapSize -= int64(n)
-						delete(j.pvals, pk)
-					}
-				} else if cur, seen := j.pvals[pk]; !seen || v > cur {
-					if !seen {
-						j.snapSize += int64(n)
-					}
-					j.pvals[pk] = v
+		if pk, pok := packKeyBytes(kb); pok {
+			// The packed fast path: no string is ever materialized, so a
+			// million-record replay allocates nothing per record.
+			if del {
+				if _, seen := j.pvals[pk]; seen {
+					j.snapSize -= int64(n)
+					delete(j.pvals, pk)
 				}
-				off += n
-				continue
+			} else if cur, seen := j.pvals[pk]; !seen || v > cur {
+				if !seen {
+					j.snapSize += int64(n)
+				}
+				j.pvals[pk] = v
 			}
+			off += n
+			continue
 		}
 		// Generic keys: the map[string(kb)] lookups below are alloc-free;
 		// only a first insert materializes the key string.
@@ -602,7 +492,7 @@ func (j *Journal) recover() error {
 	}
 	j.recovery.TornTail = off < len(data)
 
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY, 0o600)
+	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY, 0o600)
 	if err != nil {
 		return fmt.Errorf("store: journal open: %w", err)
 	}
@@ -612,7 +502,7 @@ func (j *Journal) recover() error {
 			f.Close()
 			return fmt.Errorf("store: journal truncate tail: %w", err)
 		}
-		if j.sync {
+		if j.cfg.sync {
 			if err := f.Sync(); err != nil {
 				f.Close()
 				return fmt.Errorf("store: journal sync truncation: %w", err)
@@ -632,7 +522,7 @@ func (j *Journal) recover() error {
 // create writes a fresh journal file (header only) and syncs it and its
 // directory so the journal itself survives a reset.
 func (j *Journal) create() error {
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return fmt.Errorf("store: journal create: %w", err)
 	}
@@ -644,13 +534,13 @@ func (j *Journal) create() error {
 		f.Close()
 		return fmt.Errorf("store: journal write header: %w", err)
 	}
-	if j.sync {
+	if j.cfg.sync {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return fmt.Errorf("store: journal sync header: %w", err)
 		}
 		j.syncs++
-		if err := syncDir(j.fs, filepath.Dir(j.path)); err != nil {
+		if err := syncDir(j.cfg.fs, filepath.Dir(j.path)); err != nil {
 			f.Close()
 			return err
 		}
@@ -809,7 +699,7 @@ func (j *Journal) usableLocked() error {
 }
 
 // poisonLocked records a permanent I/O failure (mu held): the first call
-// sets the sticky error and fires the JournalOnPoison hook; later calls keep
+// sets the sticky error and fires the LanesOnPoison hook; later calls keep
 // the original error. Poison is the fsyncgate-correct answer to a failed
 // sync — the kernel may have marked the lost dirty pages clean, so retrying
 // the fsync could "succeed" over holes — and to a partial write, which
@@ -821,8 +711,8 @@ func (j *Journal) poisonLocked(err error) {
 	}
 	if !j.poisonFired {
 		j.poisonFired = true
-		if j.onPoison != nil {
-			j.onPoison(j.ioErr)
+		if j.cfg.onPoison != nil {
+			j.cfg.onPoison(j.lane, j.ioErr)
 		}
 	}
 }
@@ -859,7 +749,7 @@ func (j *Journal) Repairs() uint64 {
 // inode, torn frames and unsynced pages included, is discarded wholesale. On
 // success the poison, the failed-batch record, and the fired hook are all
 // cleared, so the journal accepts appends again and a later failure re-fires
-// JournalOnPoison. Repairing a closed or fenced journal is refused;
+// LanesOnPoison. Repairing a closed or fenced journal is refused;
 // repairing a healthy one is allowed (it is a forced compaction plus merge).
 //
 // Repair restores the medium, not the endpoints: SAs that saw the poison are
@@ -927,8 +817,8 @@ func (j *Journal) stageLocked(key string, v uint64, del bool, rec []byte) uint64
 		// lagging follower costs staging nothing but the zeroing of the shed
 		// records.
 		j.tail.push(TailRecord{Seq: mySeq, Key: key, Val: v, Del: del})
-		if j.tail.n >= 2*j.tailCap {
-			over := j.tail.n - j.tailCap
+		if j.tail.n >= 2*j.cfg.tailCap {
+			over := j.tail.n - j.cfg.tailCap
 			j.tail.drop(over)
 			j.tailMin += uint64(over)
 		}
@@ -992,7 +882,7 @@ func (j *Journal) commitStagedLocked(mySeq uint64) error {
 				// Yield once before electing: concurrent savers mid-append
 				// get a chance to stage into this batch, so the commit that
 				// follows covers a group instead of a single record — the
-				// scheduling analogue of JournalBatchDelay, at ~100ns
+				// scheduling analogue of LanesBatchDelay, at ~100ns
 				// instead of a timer tick, and the lever that keeps batches
 				// forming even on a single-CPU host where the committer
 				// would otherwise run before anyone else could stage.
@@ -1015,12 +905,12 @@ func (j *Journal) commitStagedLocked(mySeq uint64) error {
 // covered by the watermark or recorded as failed.
 func (j *Journal) commitBatchLocked() {
 	j.syncing = true
-	if j.sync && j.batchDelay > 0 {
+	if j.cfg.sync && j.cfg.batchDelay > 0 {
 		// Linger so concurrent saves can join this batch. mu is released:
 		// stagings proceed during the wait and are covered by the swap
 		// below.
 		j.mu.Unlock()
-		time.Sleep(j.batchDelay)
+		time.Sleep(j.cfg.batchDelay)
 		j.mu.Lock()
 	}
 	// Compact when the log is both past the threshold and at least twice
@@ -1031,7 +921,7 @@ func (j *Journal) commitBatchLocked() {
 	// record, so on success the staged frames are simply discarded. An
 	// early failure (old log intact) falls through to a normal commit; a
 	// late failure poisons the journal and the waiters surface it.
-	if j.compactAt > 0 && j.logSize >= j.compactAt && j.logSize >= 2*j.snapSize {
+	if j.cfg.compactAt > 0 && j.logSize >= j.cfg.compactAt && j.logSize >= 2*j.snapSize {
 		if err := j.compactLocked(); err == nil || j.ioErr != nil {
 			j.syncing = false
 			j.cond.Broadcast()
@@ -1043,7 +933,7 @@ func (j *Journal) commitBatchLocked() {
 	j.spare = nil // owned by this commit until it completes
 	target := j.appendSeq
 	f := j.f
-	if j.sync {
+	if j.cfg.sync {
 		j.syncs++
 	}
 	j.mu.Unlock()
@@ -1053,7 +943,7 @@ func (j *Journal) commitBatchLocked() {
 	if len(buf) > 0 {
 		_, werr = f.Write(buf)
 	}
-	if werr == nil && j.sync {
+	if werr == nil && j.cfg.sync {
 		syncStep = true
 		werr = f.Sync()
 	}
@@ -1110,14 +1000,14 @@ func (j *Journal) commitBatchLocked() {
 // as described inline.
 func (j *Journal) compactLocked() error {
 	dir := filepath.Dir(j.path)
-	tmp, err := j.fs.CreateTemp(dir, filepath.Base(j.path)+".compact*")
+	tmp, err := j.cfg.fs.CreateTemp(dir, filepath.Base(j.path)+".compact*")
 	if err != nil {
 		return fmt.Errorf("store: journal compact temp: %w", err)
 	}
 	tmpName := tmp.Name()
 	fail := func(step string, cause error) error {
 		tmp.Close()
-		j.fs.Remove(tmpName)
+		j.cfg.fs.Remove(tmpName)
 		return fmt.Errorf("store: journal compact %s: %w", step, cause)
 	}
 
@@ -1134,7 +1024,7 @@ func (j *Journal) compactLocked() error {
 	if _, err := tmp.Write(buf); err != nil {
 		return fail("write", err)
 	}
-	if j.sync {
+	if j.cfg.sync {
 		if err := tmp.Sync(); err != nil {
 			return fail("sync", err)
 		}
@@ -1143,23 +1033,23 @@ func (j *Journal) compactLocked() error {
 	if err := tmp.Close(); err != nil {
 		return fail("close", err)
 	}
-	if err := j.fs.Rename(tmpName, j.path); err != nil {
-		j.fs.Remove(tmpName)
+	if err := j.cfg.fs.Rename(tmpName, j.path); err != nil {
+		j.cfg.fs.Remove(tmpName)
 		return fmt.Errorf("store: journal compact rename: %w", err)
 	}
 	// Past the rename the old log inode is unlinked: any failure before the
 	// handle is swapped must poison the journal, or later appends would
 	// land on the unlinked inode and report durability for writes a reboot
 	// cannot see.
-	if j.sync {
-		if err := syncDir(j.fs, dir); err != nil {
+	if j.cfg.sync {
+		if err := syncDir(j.cfg.fs, dir); err != nil {
 			j.poisonLocked(err)
 			return err
 		}
 		j.syncs++
 	}
 
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o600)
+	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		err = fmt.Errorf("store: journal compact reopen: %w", err)
 		j.poisonLocked(err)
@@ -1208,17 +1098,15 @@ func (j *Journal) ClaimCell(key string) (*Cell, error) {
 	if j.closed {
 		return nil, ErrClosed
 	}
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			if j.pclaims == nil {
-				j.pclaims = make(map[uint64]bool)
-			}
-			if j.pclaims[pk] {
-				return nil, fmt.Errorf("%w: %q", ErrCellClaimed, key)
-			}
-			j.pclaims[pk] = true
-			return &Cell{j: j, key: key}, nil
+	if pk, ok := packKey(key); ok {
+		if j.pclaims == nil {
+			j.pclaims = make(map[uint64]bool)
 		}
+		if j.pclaims[pk] {
+			return nil, fmt.Errorf("%w: %q", ErrCellClaimed, key)
+		}
+		j.pclaims[pk] = true
+		return &Cell{j: j, key: key}, nil
 	}
 	if j.claims == nil {
 		j.claims = make(map[string]bool)
@@ -1234,11 +1122,9 @@ func (j *Journal) ClaimCell(key string) (*Cell, error) {
 func (j *Journal) ReleaseCell(key string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			delete(j.pclaims, pk)
-			return
-		}
+	if pk, ok := packKey(key); ok {
+		delete(j.pclaims, pk)
+		return
 	}
 	delete(j.claims, key)
 }
@@ -1272,9 +1158,8 @@ func (c *Cell) Delete() error { return c.j.delete(c.key) }
 // Key returns the cell's journal key.
 func (c *Cell) Key() string { return c.key }
 
-// Lane returns the index of the commit lane this cell persists into, or -1
-// when its journal is a standalone medium. SaverPool routes handles by this
-// value, so all of one lane's background saves drain on one worker and
+// Lane returns the index of the commit lane this cell persists into.
+// SaverPool routes handles by this value, so all of one lane's background saves drain on one worker and
 // group-commit into that lane's fsyncs.
 func (c *Cell) Lane() int { return c.j.lane }
 
@@ -1310,7 +1195,7 @@ func (j *Journal) Close() error {
 			}
 			j.stage = j.stage[:0]
 		}
-		if err == nil && j.sync {
+		if err == nil && j.cfg.sync {
 			if serr := j.f.Sync(); serr != nil {
 				err = fmt.Errorf("store: journal close sync: %w", serr)
 			}

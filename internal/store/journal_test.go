@@ -12,11 +12,17 @@ import (
 	"time"
 )
 
-func journalAt(t *testing.T, opts ...JournalOption) *Journal {
+// openSegment opens a single lane segment at path, configured exactly as
+// OpenLanes(dir, LanesCount(1), opts...) configures its one lane.
+func openSegment(path string, opts ...LanesOption) (*Journal, error) {
+	return openJournal(path, 0, newLanesConfig(append([]LanesOption{LanesCount(1)}, opts...)))
+}
+
+func journalAt(t *testing.T, opts ...LanesOption) *Journal {
 	t.Helper()
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "sa.journal"), opts...)
+	j, err := openSegment(filepath.Join(t.TempDir(), "sa.journal"), opts...)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	return j
 }
@@ -50,9 +56,9 @@ func TestJournalSaveFetchRoundTrip(t *testing.T) {
 
 func TestJournalSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path)
+	j, err := openSegment(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	for i := 0; i < 100; i++ {
 		if err := j.Cell(fmt.Sprintf("tx/%d", i)).Save(uint64(1000 + i)); err != nil {
@@ -64,7 +70,7 @@ func TestJournalSurvivesReopen(t *testing.T) {
 	}
 
 	// A fresh handle over the same path models the post-reset FETCH.
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -82,9 +88,9 @@ func TestJournalSurvivesReopen(t *testing.T) {
 
 func TestJournalRecoveryKeepsMaxPerKey(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path)
+	j, err := openSegment(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	// Appends are not required to be monotone at the journal layer; the
 	// recovered value must be the max, never a stale later append.
@@ -101,7 +107,7 @@ func TestJournalRecoveryKeepsMaxPerKey(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -129,7 +135,7 @@ func corruptAndReopen(t *testing.T, j *Journal, mutate func([]byte) []byte) *Jou
 	if err := os.WriteFile(path, mutate(data), 0o600); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen after corruption: %v", err)
 	}
@@ -158,7 +164,7 @@ func TestJournalTornTailGarbage(t *testing.T) {
 	}
 	path := j2.Path()
 	j2.Close()
-	j3, err := OpenJournal(path)
+	j3, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -223,13 +229,13 @@ func TestJournalMidLogCorruption(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o600); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			if _, err := OpenJournal(path, JournalStrictRecovery()); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("strict OpenJournal (%s) = %v, want ErrCorrupt", name, err)
+			if _, err := openSegment(path, LanesStrictRecovery()); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("strict openSegment (%s) = %v, want ErrCorrupt", name, err)
 			}
 			dropped := RecoveryDropped()
-			j2, err := OpenJournal(path)
+			j2, err := openSegment(path)
 			if err != nil {
-				t.Fatalf("tolerant OpenJournal (%s): %v", name, err)
+				t.Fatalf("tolerant openSegment (%s): %v", name, err)
 			}
 			defer j2.Close()
 			if _, ok, _ := j2.Cell("a").Fetch(); ok {
@@ -274,9 +280,9 @@ func TestJournalMidLogByteFlipRegression(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	rs := j2.RecoveryStats()
 	if rs.FramesDropped == 0 {
@@ -306,7 +312,7 @@ func TestJournalMidLogByteFlipRegression(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	j3, err := OpenJournal(path)
+	j3, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -343,8 +349,8 @@ func TestJournalCorruptHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte("XXXXXXXXXXXX"), 0o600); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if _, err := OpenJournal(path); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("OpenJournal on bad magic = %v, want ErrCorrupt", err)
+	if _, err := openSegment(path); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("openSegment on bad magic = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -400,9 +406,9 @@ func TestJournalClosed(t *testing.T) {
 
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path, JournalCompactAt(2048))
+	j, err := openSegment(path, LanesCompactAt(2048))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	const keys = 10
 	for round := uint64(1); round <= 100; round++ {
@@ -420,7 +426,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -439,7 +445,7 @@ func TestJournalCompaction(t *testing.T) {
 func TestJournalCompactionNoThrash(t *testing.T) {
 	// 100 keys x ~20 bytes ≈ 2KB snapshot, well past the 256-byte
 	// threshold; the old trigger would compact on every save.
-	j := journalAt(t, JournalCompactAt(256))
+	j := journalAt(t, LanesCompactAt(256))
 	const keys, rounds = 100, 20
 	for r := uint64(1); r <= rounds; r++ {
 		for k := 0; k < keys; k++ {
@@ -472,9 +478,9 @@ func TestJournalNoCounterRegression(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sa.journal")
-			j, err := OpenJournal(path)
+			j, err := openSegment(path)
 			if err != nil {
-				t.Fatalf("OpenJournal: %v", err)
+				t.Fatalf("openSegment: %v", err)
 			}
 			pool := NewSaverPool(8)
 
@@ -519,7 +525,7 @@ func TestJournalNoCounterRegression(t *testing.T) {
 				f.Close()
 			}
 
-			j2, err := OpenJournal(path)
+			j2, err := openSegment(path)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -543,7 +549,7 @@ func TestJournalNoCounterRegression(t *testing.T) {
 // TestJournalGroupCommit: concurrent saves must share fsyncs — that is the
 // journal's reason to exist.
 func TestJournalGroupCommit(t *testing.T) {
-	j := journalAt(t, JournalBatchDelay(200*time.Microsecond))
+	j := journalAt(t, LanesBatchDelay(200*time.Microsecond))
 	defer j.Close()
 	base := j.Syncs()
 	const goroutines, saves = 16, 20
@@ -576,7 +582,7 @@ func TestJournalGroupCommit(t *testing.T) {
 }
 
 func TestJournalWithoutSync(t *testing.T) {
-	j := journalAt(t, JournalWithoutSync())
+	j := journalAt(t, LanesWithoutSync())
 	defer j.Close()
 	if err := j.Cell("a").Save(4); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -617,9 +623,9 @@ func TestJournalDeleteErasesKey(t *testing.T) {
 
 func TestJournalDeleteSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path)
+	j, err := openSegment(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
 	if err := j.Cell("tx/old").Save(4096); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -634,7 +640,7 @@ func TestJournalDeleteSurvivesReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -654,7 +660,7 @@ func TestJournalDeleteSurvivesReopen(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	j3, err := OpenJournal(path)
+	j3, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -668,7 +674,7 @@ func TestJournalDeleteSurvivesReopen(t *testing.T) {
 func TestJournalCompactionDropsDeletedKeys(t *testing.T) {
 	// Compaction threshold low enough that the retired keys' records would
 	// dominate the snapshot if tombstones failed to erase them.
-	j := journalAt(t, JournalCompactAt(1024))
+	j := journalAt(t, LanesCompactAt(1024))
 	defer j.Close()
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("rx/%08x", i)
@@ -727,7 +733,7 @@ func TestJournalV1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, err := OpenJournal(path)
+	j, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("open v1 journal: %v", err)
 	}
@@ -741,7 +747,7 @@ func TestJournalV1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(path)
+	j2, err := openSegment(path)
 	if err != nil {
 		t.Fatalf("reopen v1 journal after append: %v", err)
 	}

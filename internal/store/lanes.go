@@ -13,65 +13,23 @@ import (
 )
 
 // This file shards the journal into commit lanes. A Lanes value is N
-// independent Journals — each its own append-only CRC-framed segment with
-// its own staging buffer, elected committer, and fsync — behind the same
-// cell/claim/fence surface a single Journal exposes (the Medium interface).
-// Keys route to lanes by the same Fibonacci SPI hash the SAD uses for its
-// stripes, so the counters of SAs that never contend in the datapath never
-// contend in the commit path either: group commits parallelize across
-// lanes (and across devices, when lanes are spread over different paths),
-// cold-start recovery replays every lane concurrently and scales with
-// cores, and compaction stalls one lane instead of the world.
+// independent Journal segments — each its own append-only CRC-framed log
+// with its own staging buffer, elected committer, and fsync — behind one
+// cell/claim/fence surface. Lanes is the one durable multi-counter medium:
+// a small tunnel endpoint opens it with LanesCount(1), a million-SA gateway
+// with the default 64. Keys route to lanes by the same Fibonacci SPI hash
+// the SAD uses for its stripes, so the counters of SAs that never contend
+// in the datapath never contend in the commit path either: group commits
+// parallelize across lanes, cold-start recovery replays every lane
+// concurrently and scales with cores, and compaction stalls one lane
+// instead of the world.
 //
-// Durability per key is exactly a single Journal's — a key lives entirely
+// Durability per key is exactly a single segment's — a key lives entirely
 // in its lane, so "SAVE completed" still means "this record's lane fsynced
 // it (and its sync follower applied it)". Cross-lane ordering is
 // deliberately unspecified, matching the paper's model: each SA's counter
 // stream is independent, and nothing in the protocol compares sequence
 // numbers across SAs.
-
-// Medium is the durable multi-counter surface shared by *Journal (one
-// commit lane) and *Lanes (many): everything a Gateway or a cluster
-// Standby needs from its persistent store. Code written against Medium
-// runs unchanged over either — the single-file journal of a small tunnel
-// endpoint or the 64-lane medium of a million-SA gateway.
-type Medium interface {
-	// Cell, ClaimCell, ReleaseCell and Delete project and retire one
-	// key's durable counter; see Journal.
-	Cell(key string) *Cell
-	ClaimCell(key string) (*Cell, error)
-	ReleaseCell(key string)
-	Delete(key string) error
-	// Values and Keys expose the live state; LogSize, Appends, Syncs and
-	// Compactions the medium's size and I/O counters (summed over lanes).
-	Values() map[string]uint64
-	Keys() int
-	LogSize() int64
-	Appends() uint64
-	Syncs() uint64
-	Compactions() uint64
-	// Fence and Fenced are the cluster promotion fence; fencing a laned
-	// medium fences every lane.
-	Fence(err error)
-	Fenced() error
-	// LaneJournals returns the underlying commit lanes — a one-element
-	// slice for a standalone Journal. Replication attaches per lane.
-	LaneJournals() []*Journal
-	// RecoveryStats aggregates what open-time replay found across lanes.
-	RecoveryStats() RecoveryStats
-	// Path is the medium's filesystem location: the log file of a
-	// standalone Journal, the lane directory of a Lanes.
-	Path() string
-	Close() error
-}
-
-var (
-	_ Medium = (*Journal)(nil)
-	_ Medium = (*Lanes)(nil)
-)
-
-// LaneJournals returns the journal itself as its only commit lane.
-func (j *Journal) LaneJournals() []*Journal { return []*Journal{j} }
 
 // DefaultLaneCount is the lane count OpenLanes uses when LanesCount is not
 // given — aligned with the SAD's 64 stripes (and hashed identically), so a
@@ -94,24 +52,42 @@ const (
 	laneManifestName  = "MANIFEST"
 )
 
-// Lanes is a laned persistent medium: a directory of N commit-lane
-// journals under one manifest. It implements Medium; every per-key
-// operation routes to the key's lane by SPI hash, and the aggregate
-// operations (Values, Fence, Close, ...) fan out. Safe for concurrent use.
+// Lanes is the persistent medium: a directory of N commit-lane journals
+// under one manifest. Every per-key operation routes to the key's lane by
+// SPI hash, and the aggregate operations (Values, Fence, Close, ...) fan
+// out. Safe for concurrent use.
 type Lanes struct {
 	dir      string
 	lanes    []*Journal
 	laneBits uint
 }
 
-// lanesConfig collects LanesOption state before the journals exist.
+// lanesConfig is the medium's one option set: LanesOption fills it before
+// the journals exist, and every lane segment reads its settings from it.
 type lanesConfig struct {
-	count    int
-	spread   []string
-	jopts    []JournalOption
-	withSync bool
-	fs       storefault.FS
-	onPoison func(lane int, err error)
+	count          int
+	sync           bool
+	compactAt      int64
+	batchDelay     time.Duration
+	tailCap        int
+	strictRecovery bool
+	fs             storefault.FS
+	onPoison       func(lane int, err error)
+}
+
+// newLanesConfig applies opts over the defaults.
+func newLanesConfig(opts []LanesOption) *lanesConfig {
+	cfg := &lanesConfig{
+		count:     DefaultLaneCount,
+		sync:      true,
+		compactAt: DefaultCompactAt,
+		tailCap:   DefaultTailBuffer,
+		fs:        storefault.OS(),
+	}
+	for _, o := range opts {
+		o(cfg)
+	}
+	return cfg
 }
 
 // LanesOption configures OpenLanes.
@@ -123,43 +99,60 @@ func LanesCount(n int) LanesOption {
 	return func(c *lanesConfig) { c.count = n }
 }
 
-// LanesWithoutSync disables every fsync in every lane; see
-// JournalWithoutSync.
+// LanesWithoutSync disables every fsync in every lane (group commits,
+// compaction, and the manifest). As with File's WithoutSync, a power loss
+// may then lose recent saves; a process crash may not.
 func LanesWithoutSync() LanesOption {
-	return func(c *lanesConfig) {
-		c.withSync = false
-		c.jopts = append(c.jopts, JournalWithoutSync())
-	}
+	return func(c *lanesConfig) { c.sync = false }
 }
 
 // LanesCompactAt sets each lane's compaction threshold (per lane, not
-// aggregate); see JournalCompactAt.
+// aggregate): the log size, in bytes, at which the lane rewrites itself to
+// one record per key. Values <= 0 disable compaction.
 func LanesCompactAt(n int64) LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalCompactAt(n)) }
+	return func(c *lanesConfig) { c.compactAt = n }
 }
 
-// LanesBatchDelay sets each lane's group-commit linger; see
-// JournalBatchDelay.
+// LanesBatchDelay makes each lane's group-commit syncer linger for d before
+// issuing its fsync, letting more concurrent SAVEs join the batch — the
+// classic commit-delay knob of write-ahead logs. Durability is unchanged
+// (every Save still returns only after its record is fsynced); each save's
+// latency grows by up to d. Zero (the default) commits eagerly.
 func LanesBatchDelay(d time.Duration) LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalBatchDelay(d)) }
+	return func(c *lanesConfig) { c.batchDelay = d }
 }
 
 // LanesTailBuffer sets each lane's retained-record window for tailing
-// readers; see JournalTailBuffer.
+// readers (Follow): at least n recent records stay available, and the
+// buffer is trimmed back to n once it reaches 2n (amortizing the trim to
+// O(1) per append). A reader that falls behind the window resynchronizes by
+// snapshot-then-tail (ErrTailLagged), so the buffer bounds replication
+// memory, not correctness. Values < 1 are clamped to 1.
 func LanesTailBuffer(n int) LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalTailBuffer(n)) }
+	return func(c *lanesConfig) { c.tailCap = max(n, 1) }
 }
 
-// LanesStrictRecovery makes every lane refuse to open when CRC-valid
-// records follow a damaged frame; see JournalStrictRecovery.
+// LanesStrictRecovery makes every lane refuse to open (ErrCorrupt) when
+// CRC-valid records follow the first bad frame, instead of dropping the
+// damaged region. Dropping is always safe for crash tears (the dropped
+// records' SAVEs never completed), but it hides a counter the medium itself
+// damaged after it was durable; strict recovery surfaces that case, at the
+// price of refusing some legitimate multi-record power-loss tails whose
+// later pages persisted before earlier ones. Prefer it on storage without
+// its own integrity checking.
 func LanesStrictRecovery() LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalStrictRecovery()) }
+	return func(c *lanesConfig) { c.strictRecovery = true }
 }
 
-// LanesWithFS routes every lane's filesystem operations (and the manifest's)
-// through fsys; see JournalWithFS. This is how a disk-fault campaign scopes
-// itself to one lane: arm an Injector whose Fault.Path matches that lane's
-// file name and every other lane runs untouched passthrough.
+// LanesWithFS routes every filesystem operation of every lane — recovery
+// reads, appends, fsyncs, compaction's temp/rename dance — and of the
+// manifest through fsys instead of the default passthrough (storefault.OS).
+// This is where a fault schedule (storefault.Injector) plugs in, and how a
+// disk-fault campaign scopes itself to one lane: arm an Injector whose
+// Fault.Path matches that lane's file name and every other lane runs
+// untouched passthrough. The hot path pays one interface dispatch per
+// write/sync either way, so the zero-alloc gates hold with or without an
+// injector installed. A nil fsys keeps the default.
 func LanesWithFS(fsys storefault.FS) LanesOption {
 	return func(c *lanesConfig) {
 		if fsys != nil {
@@ -168,58 +161,36 @@ func LanesWithFS(fsys storefault.FS) LanesOption {
 	}
 }
 
-// LanesOnPoison registers a hook fired once per lane poisoning with the lane
-// index and the sticky error. It runs with that lane's mutex held (see
-// JournalOnPoison); the other lanes are untouched — poisoning is exactly the
-// per-lane fault domain LaneHealth reports.
+// LanesOnPoison registers a hook fired once per lane poisoning — when a
+// commit failure (or a failed Close flush) marks the lane unusable — with
+// the lane index and the sticky error. It runs with that lane's mutex held,
+// so it must not call back into the medium: record an event, bump a gauge,
+// notify a quarantine manager. The other lanes are untouched — poisoning is
+// exactly the per-lane fault domain LaneHealth reports. A successful
+// RepairLane re-arms it.
 func LanesOnPoison(fn func(lane int, err error)) LanesOption {
 	return func(c *lanesConfig) { c.onPoison = fn }
 }
 
-// LanesSpread places lane files round-robin across the given directories
-// instead of the manifest directory — lanes on different devices commit on
-// different fsync streams, so the medium's aggregate fsync bandwidth is
-// the sum of the devices'. The manifest stays in the primary directory;
-// reopening must pass the same spread.
-func LanesSpread(dirs ...string) LanesOption {
-	return func(c *lanesConfig) { c.spread = append([]string(nil), dirs...) }
-}
-
-// laneFileName returns lane i's file name within its directory.
+// laneFileName returns lane i's file name within the medium's directory.
 func laneFileName(i int) string { return fmt.Sprintf("lane-%03d.log", i) }
-
-// lanePath returns lane i's full path under the configured spread.
-func (c *lanesConfig) lanePath(dir string, i int) string {
-	if len(c.spread) > 0 {
-		dir = c.spread[i%len(c.spread)]
-	}
-	return filepath.Join(dir, laneFileName(i))
-}
 
 // OpenLanes opens (or creates) the laned journal rooted at dir: the
 // manifest is read (or written, for a fresh directory), and every lane
 // replays its segment concurrently — cold-start recovery of the whole
 // medium costs one lane's replay per core instead of one serial pass, and
 // the per-lane maxima merge trivially because a key lives in exactly one
-// lane. Lanes always run with the compact cell representation
-// (JournalCompactCells): this is the medium built for million-SA scale.
+// lane.
 func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
-	cfg := &lanesConfig{count: DefaultLaneCount, withSync: true, fs: storefault.OS()}
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := newLanesConfig(opts)
 	if err := cfg.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: lanes dir: %w", err)
-	}
-	for _, d := range cfg.spread {
-		if err := cfg.fs.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: lanes spread dir: %w", err)
-		}
 	}
 	count, err := readOrWriteManifest(dir, cfg)
 	if err != nil {
 		return nil, err
 	}
+	cfg.count = count // the manifest wins over LanesCount
 	bits := uint(0)
 	for 1<<bits < count {
 		bits++
@@ -227,8 +198,8 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 
 	// Open every lane concurrently: on a many-core host the replays — the
 	// dominant cold-start cost — run in parallel; on one core they simply
-	// interleave. Each lane gets the compact cell representation and its
-	// lane index (cells report it for SaverPool routing).
+	// interleave. Each lane gets its lane index (cells report it for
+	// SaverPool routing).
 	lanes := make([]*Journal, count)
 	errs := make([]error, count)
 	var wg sync.WaitGroup
@@ -236,16 +207,11 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := append([]JournalOption{JournalCompactCells(), JournalWithFS(cfg.fs)}, cfg.jopts...)
-			if fn := cfg.onPoison; fn != nil {
-				opts = append(opts, JournalOnPoison(func(err error) { fn(i, err) }))
-			}
-			j, err := OpenJournal(cfg.lanePath(dir, i), opts...)
+			j, err := openJournal(filepath.Join(dir, laneFileName(i)), i, cfg)
 			if err != nil {
 				errs[i] = fmt.Errorf("store: lane %d: %w", i, err)
 				return
 			}
-			j.lane = i
 			lanes[i] = j
 		}(i)
 	}
@@ -304,7 +270,7 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 			f.Close()
 			return 0, fmt.Errorf("store: lane manifest write: %w", err)
 		}
-		if cfg.withSync {
+		if cfg.sync {
 			if err := f.Sync(); err != nil {
 				f.Close()
 				return 0, fmt.Errorf("store: lane manifest sync: %w", err)
@@ -313,7 +279,7 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 		if err := f.Close(); err != nil {
 			return 0, fmt.Errorf("store: lane manifest close: %w", err)
 		}
-		if cfg.withSync {
+		if cfg.sync {
 			if err := syncDir(cfg.fs, dir); err != nil {
 				return 0, err
 			}
@@ -328,8 +294,7 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 // hash their SPI with the SAD's Fibonacci multiplier, so an SA's commit
 // lane is the same stripe its datapath admission runs on; other keys (the
 // cluster epoch, tests) hash their bytes first. With one lane every key
-// maps to lane 0 and Lanes degenerates to a Journal with routing overhead
-// of a few nanoseconds.
+// maps to lane 0 and routing costs a few nanoseconds.
 func (l *Lanes) laneOf(key string) int {
 	if l.laneBits == 0 {
 		return 0
@@ -374,68 +339,38 @@ func (l *Lanes) Delete(key string) error { return l.Lane(key).Delete(key) }
 // Values merges every lane's live state. Keys are disjoint across lanes
 // (routing is deterministic), so the merge is a plain union.
 func (l *Lanes) Values() map[string]uint64 {
-	n := 0
-	for _, j := range l.lanes {
-		n += j.Keys()
-	}
-	out := make(map[string]uint64, n)
+	out := make(map[string]uint64, l.Keys())
 	for _, j := range l.lanes {
 		j.mu.Lock()
-		for k, v := range j.vals {
-			out[k] = v
-		}
-		for pk, v := range j.pvals {
-			out[unpackKey(pk)] = v
-		}
+		j.copyValsLocked(out)
 		j.mu.Unlock()
 	}
 	return out
 }
 
-// Keys returns the number of distinct counters across all lanes.
-func (l *Lanes) Keys() int {
-	n := 0
+// sumLanes adds up one per-lane counter over every lane.
+func sumLanes[T int | int64 | uint64](l *Lanes, f func(*Journal) T) T {
+	var n T
 	for _, j := range l.lanes {
-		n += j.Keys()
+		n += f(j)
 	}
 	return n
 }
+
+// Keys returns the number of distinct counters across all lanes.
+func (l *Lanes) Keys() int { return sumLanes(l, (*Journal).Keys) }
 
 // LogSize returns the medium's aggregate log size in bytes.
-func (l *Lanes) LogSize() int64 {
-	var n int64
-	for _, j := range l.lanes {
-		n += j.LogSize()
-	}
-	return n
-}
+func (l *Lanes) LogSize() int64 { return sumLanes(l, (*Journal).LogSize) }
 
 // Appends returns the aggregate record count appended across lanes.
-func (l *Lanes) Appends() uint64 {
-	var n uint64
-	for _, j := range l.lanes {
-		n += j.Appends()
-	}
-	return n
-}
+func (l *Lanes) Appends() uint64 { return sumLanes(l, (*Journal).Appends) }
 
 // Syncs returns the aggregate fsync count across lanes.
-func (l *Lanes) Syncs() uint64 {
-	var n uint64
-	for _, j := range l.lanes {
-		n += j.Syncs()
-	}
-	return n
-}
+func (l *Lanes) Syncs() uint64 { return sumLanes(l, (*Journal).Syncs) }
 
 // Compactions returns the aggregate completed compactions across lanes.
-func (l *Lanes) Compactions() uint64 {
-	var n uint64
-	for _, j := range l.lanes {
-		n += j.Compactions()
-	}
-	return n
-}
+func (l *Lanes) Compactions() uint64 { return sumLanes(l, (*Journal).Compactions) }
 
 // RecoveryStats aggregates what every lane's open-time replay found.
 func (l *Lanes) RecoveryStats() RecoveryStats {

@@ -43,7 +43,7 @@ func TestLanesRouting(t *testing.T) {
 	}
 }
 
-// TestLanesValuesAndClaims exercises the Medium surface over many lanes:
+// TestLanesValuesAndClaims exercises the medium surface over many lanes:
 // saves land in the owning lane, Values merges disjoint lanes, claims are
 // per-key, and deletes retire durably.
 func TestLanesValuesAndClaims(t *testing.T) {
@@ -192,52 +192,8 @@ func TestLanesFence(t *testing.T) {
 	}
 }
 
-// TestLanesSpread places lane files across two directories and reopens with
-// the same spread.
-func TestLanesSpread(t *testing.T) {
-	root, d1, d2 := t.TempDir(), t.TempDir(), t.TempDir()
-	open := func() (*Lanes, error) {
-		return OpenLanes(root, LanesCount(4), LanesWithoutSync(), LanesSpread(d1, d2))
-	}
-	l, err := open()
-	if err != nil {
-		t.Fatalf("OpenLanes: %v", err)
-	}
-	for i := 0; i < 64; i++ {
-		if err := l.Cell(fmt.Sprintf("rx/%08x", i)).Save(uint64(i + 1)); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-	}
-	l.Close()
-
-	for _, d := range []string{d1, d2} {
-		ents, err := os.ReadDir(d)
-		if err != nil {
-			t.Fatalf("ReadDir(%s): %v", d, err)
-		}
-		if len(ents) != 2 {
-			t.Errorf("spread dir %s holds %d lane files, want 2", d, len(ents))
-		}
-	}
-	if _, err := os.Stat(filepath.Join(root, laneManifestName)); err != nil {
-		t.Errorf("manifest not in root dir: %v", err)
-	}
-
-	l2, err := open()
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer l2.Close()
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("rx/%08x", i)
-		if v, ok, err := l2.Cell(key).Fetch(); err != nil || !ok || v != uint64(i+1) {
-			t.Fatalf("Fetch(%s) = (%d, %v, %v), want (%d, true, nil)", key, v, ok, err, i+1)
-		}
-	}
-}
-
 // TestLanesCellLaneReporting: a laned cell reports its commit lane (the
-// SaverPool routes on it); a standalone journal's cell reports none.
+// SaverPool routes on it).
 func TestLanesCellLaneReporting(t *testing.T) {
 	l, err := OpenLanes(t.TempDir(), LanesCount(16), LanesWithoutSync())
 	if err != nil {
@@ -249,14 +205,5 @@ func TestLanesCellLaneReporting(t *testing.T) {
 		if got, want := l.Cell(key).Lane(), l.laneOf(key); got != want {
 			t.Fatalf("Cell(%s).Lane() = %d, want %d", key, got, want)
 		}
-	}
-
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
-	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
-	}
-	defer j.Close()
-	if got := j.Cell("tx/00000001").Lane(); got != -1 {
-		t.Errorf("standalone cell Lane() = %d, want -1", got)
 	}
 }

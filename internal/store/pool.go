@@ -12,18 +12,19 @@ import (
 )
 
 // SaverPool executes background SAVEs for many stores on a bounded set of
-// workers — the gateway-scale replacement for one AsyncSaver goroutine per
-// SA. Each store gets a PoolSaver handle with the same drain-the-queue,
-// persist-only-the-maximum coalescing AsyncSaver performs, and the same
-// monotonicity invariant: a handle is processed by at most one worker at a
-// time, so a stale value can never land after a newer one.
+// workers, mirroring the paper's "& SAVE(s) {SAVE(s) executed in
+// background}" — one worker for a single endpoint, a few for a gateway of
+// 100k SAs. Each store gets a PoolSaver handle that drains its queue and
+// persists only the maximum (saveBatch), and a handle is processed by at
+// most one worker at a time, so a stale value can never land after a newer
+// one.
 //
 // The pool is sharded: each worker owns a private queue, and a handle is
-// pinned to one shard for its lifetime. Stores that report a commit lane
-// (Cell.Lane — cells of a laned journal) route by lane, so all of one
-// lane's background saves drain on one worker and group-commit into that
-// lane's fsyncs instead of scattering every lane's traffic across every
-// worker; lane-less stores round-robin. With 100k SAs a pool of a few
+// pinned to one shard for its lifetime. Cells of a multi-lane medium route
+// by lane (Cell.Lane), so all of one lane's background saves drain on one
+// worker and group-commit into that lane's fsyncs instead of scattering
+// every lane's traffic across every worker; other stores, and the cells of
+// a one-lane medium, round-robin. With 100k SAs a pool of a few
 // workers bounds goroutines and keeps the durable medium's queues short.
 type SaverPool struct {
 	shards []poolShard
@@ -145,10 +146,6 @@ type poolShard struct {
 // DefaultPoolWorkers is the worker count NewSaverPool uses when given <= 0.
 const DefaultPoolWorkers = 8
 
-// laner is implemented by stores that persist into one commit lane of a
-// laned medium; see Cell.Lane.
-type laner interface{ Lane() int }
-
 // NewSaverPool starts a pool of the given number of workers (<= 0 means
 // DefaultPoolWorkers), one queue shard per worker.
 func NewSaverPool(workers int) *SaverPool {
@@ -166,16 +163,13 @@ func NewSaverPool(workers int) *SaverPool {
 }
 
 // Saver returns a BackgroundSaver-compatible handle persisting to st
-// through the pool. Handles over lane-reporting stores pin to the lane's
-// shard; others round-robin across shards.
+// through the pool. Handles over the cells of a multi-lane medium pin to
+// the lane's shard; others round-robin across shards.
 func (p *SaverPool) Saver(st Store) *PoolSaver {
-	shard := -1
-	if l, ok := st.(laner); ok {
-		if lane := l.Lane(); lane >= 0 {
-			shard = lane % len(p.shards)
-		}
-	}
-	if shard < 0 {
+	var shard int
+	if c, ok := st.(*Cell); ok && c.j.cfg.count > 1 {
+		shard = c.j.lane % len(p.shards)
+	} else {
 		shard = int(p.rr.Add(1)-1) % len(p.shards)
 	}
 	s := &PoolSaver{p: p, sh: &p.shards[shard], st: st}
@@ -297,24 +291,31 @@ func (s *PoolSaver) drain() {
 		s.pending = nil
 		s.mu.Unlock()
 
-		if s.p == nil {
-			saveBatch(s.st, batch)
-			continue
-		}
 		s.p.persisted.Add(1)
-		// Same coalescing as saveBatch — persist only the maximum — but the
-		// write goes through the pool's bounded retry.
-		maxV := batch[0].v
-		for _, ps := range batch[1:] {
-			if ps.v > maxV {
-				maxV = ps.v
-			}
+		saveBatch(batch, func(v uint64) error { return s.p.saveWithRetry(s.st, v) })
+	}
+}
+
+type pendingSave struct {
+	v    uint64
+	done func(error)
+}
+
+// saveBatch persists one drained batch: only the maximum value is written
+// (a durable v' >= v is at least as safe as a durable v, and letting a
+// stale value land last would shrink the counter and void the wake-up leap
+// bound), then every done callback receives that save's result.
+func saveBatch(batch []pendingSave, save func(uint64) error) {
+	maxV := batch[0].v
+	for _, p := range batch[1:] {
+		if p.v > maxV {
+			maxV = p.v
 		}
-		err := s.p.saveWithRetry(s.st, maxV)
-		for _, ps := range batch {
-			if ps.done != nil {
-				ps.done(err)
-			}
+	}
+	err := save(maxV)
+	for _, p := range batch {
+		if p.done != nil {
+			p.done(err)
 		}
 	}
 }

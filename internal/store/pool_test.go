@@ -29,7 +29,19 @@ func TestPoolSaverCompletes(t *testing.T) {
 	p.Close()
 }
 
-// TestPoolSaverMonotonic mirrors AsyncSaver's invariant: a handle's saves
+// TestPoolSaverNilDone: a save queued without a callback still persists,
+// and Close waits for it.
+func TestPoolSaverNilDone(t *testing.T) {
+	p := NewSaverPool(1)
+	var m Mem
+	p.Saver(&m).StartSave(5, nil)
+	p.Close()
+	if v, ok := m.Peek(); !ok || v != 5 {
+		t.Errorf("Peek = (%d, %v), want (5, true)", v, ok)
+	}
+}
+
+// TestPoolSaverMonotonic pins the saver invariant: a handle's saves
 // coalesce to the maximum and the durable value only grows, even with all
 // values queued before any worker runs.
 func TestPoolSaverMonotonic(t *testing.T) {
@@ -141,7 +153,7 @@ func TestPoolDoneCalledExactlyOnce(t *testing.T) {
 // end-to-end gateway persistence path. Every acknowledged save must be
 // durable and the fsync count must stay well below the save count.
 func TestPoolJournalGroupCommit(t *testing.T) {
-	j := journalAt(t, JournalBatchDelay(100*time.Microsecond))
+	j := journalAt(t, LanesBatchDelay(100*time.Microsecond))
 	p := NewSaverPool(8)
 	const handles, saves = 50, 10
 	var wg sync.WaitGroup

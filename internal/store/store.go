@@ -9,9 +9,10 @@
 // which only clear volatile endpoint state), and File provides them on a
 // real filesystem via write-to-temp + fsync + atomic rename + checksum.
 //
-// Fault-injection wrappers (Faulty) and a background saver (AsyncSaver,
-// mirroring the paper's "& SAVE(s) executed in background") support the
-// failure-mode experiments.
+// Fault-injection wrappers (Faulty, Latent) support the failure-mode
+// experiments; SaverPool runs the paper's "& SAVE(s) executed in
+// background". Lanes multiplexes many named cells into one laned,
+// group-committed log for gateway-scale use.
 package store
 
 import (

@@ -300,88 +300,6 @@ func TestFaultyCorruptFetches(t *testing.T) {
 	}
 }
 
-func TestAsyncSaverCompletes(t *testing.T) {
-	var m Mem
-	a := NewAsyncSaver(&m)
-	done := make(chan error, 1)
-	a.StartSave(77, func(err error) { done <- err })
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("save err: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("save did not complete")
-	}
-	v, ok := m.Peek()
-	if !ok || v != 77 {
-		t.Errorf("Peek = (%d, %v), want (77, true)", v, ok)
-	}
-	a.Close()
-}
-
-func TestAsyncSaverNilDone(t *testing.T) {
-	var m Mem
-	a := NewAsyncSaver(&m)
-	a.StartSave(5, nil)
-	a.Close() // waits for the save
-	v, ok := m.Peek()
-	if !ok || v != 5 {
-		t.Errorf("Peek = (%d, %v), want (5, true)", v, ok)
-	}
-}
-
-func TestAsyncSaverClosed(t *testing.T) {
-	var m Mem
-	a := NewAsyncSaver(&m)
-	a.Close()
-	var got error
-	a.StartSave(5, func(err error) { got = err })
-	if !errors.Is(got, ErrClosed) {
-		t.Errorf("StartSave after Close: done err = %v, want ErrClosed", got)
-	}
-	if _, ok := m.Peek(); ok {
-		t.Error("save after Close must not persist")
-	}
-}
-
-func TestAsyncSaverManyConcurrent(t *testing.T) {
-	var m Mem
-	a := NewAsyncSaver(&m)
-	var wg sync.WaitGroup
-	const n = 100
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		a.StartSave(uint64(i), func(error) { wg.Done() })
-	}
-	wg.Wait()
-	a.Close()
-	// Saves are coalesced to the maximum pending value, so there may be
-	// fewer physical saves than StartSave calls — but every done callback
-	// ran (wg reached zero) and the durable value is the maximum.
-	if got := m.Saves(); got == 0 || got > n {
-		t.Errorf("Saves = %d, want in (0, %d]", got, n)
-	}
-	if v, ok := m.Peek(); !ok || v != n-1 {
-		t.Errorf("Peek = (%d, %v), want (%d, true)", v, ok, n-1)
-	}
-}
-
-// TestAsyncSaverMonotonic: out-of-order completion must never let a stale
-// value overwrite a newer one — the durable counter only grows.
-func TestAsyncSaverMonotonic(t *testing.T) {
-	var m Mem
-	a := NewAsyncSaver(&m)
-	for i := uint64(1); i <= 500; i++ {
-		a.StartSave(i, nil)
-	}
-	a.Close()
-	v, ok := m.Peek()
-	if !ok || v != 500 {
-		t.Errorf("Peek = (%d, %v), want (500, true)", v, ok)
-	}
-}
-
 func TestLatentDelays(t *testing.T) {
 	var m Mem
 	l := NewLatent(&m, 20*time.Millisecond)

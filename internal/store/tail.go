@@ -27,7 +27,7 @@ type TailRecord struct {
 // primary's recoverable state.
 //
 // The journal retains a bounded in-memory window of recent records (see
-// JournalTailBuffer). A reader that falls behind the window — or that
+// LanesTailBuffer). A reader that falls behind the window — or that
 // attaches fresh — resynchronizes by snapshot-then-tail: Recv reports
 // ErrTailLagged, the reader calls Snapshot (the full live state plus the
 // cursor position that stream resumes from), applies it, and tails on. The

@@ -24,7 +24,7 @@ func drainTail(t *testing.T, tl *Tail) []TailRecord {
 }
 
 func TestTailStreamsCommittedRecordsInOrder(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestTailSnapshotThenTailAfterLag(t *testing.T) {
 	// A 4-record window guarantees a reader attached from the start lags
 	// out; it must resynchronize by snapshot and still converge on the
 	// journal's exact live state.
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalTailBuffer(4))
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"),
+		LanesWithoutSync(), LanesTailBuffer(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestTailSurvivesCompaction(t *testing.T) {
 	// Compaction rewrites the log file under an attached reader; the
 	// logical record stream must be undisturbed: every record before and
 	// after the compaction arrives exactly once.
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalCompactAt(256))
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"),
+		LanesWithoutSync(), LanesCompactAt(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTailSurvivesCompaction(t *testing.T) {
 // directory entry back to the old (now-deleted) inode after compaction
 // already reported the state durable.
 func TestJournalCompactionDirFsync(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalCompactAt(256))
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesCompactAt(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := OpenJournal(j.Path())
+	j2, err := openSegment(j.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 }
 
 func TestSyncFollowerGatesSaves(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSyncFollowerGatesSaves(t *testing.T) {
 }
 
 func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
 }
 
 func TestFenceRejectsWritesAndReleasesWaiters(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestFenceRejectsWritesAndReleasesWaiters(t *testing.T) {
 }
 
 func TestApplyIsIdempotentAndBatched(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,12 +376,12 @@ func TestApplyIsIdempotentAndBatched(t *testing.T) {
 
 func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	src, err := OpenJournal(filepath.Join(dir, "src.log"), JournalWithoutSync())
+	src, err := openSegment(filepath.Join(dir, "src.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	dst, err := OpenJournal(filepath.Join(dir, "dst.log"), JournalWithoutSync())
+	dst, err := openSegment(filepath.Join(dir, "dst.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenJournal(filepath.Join(dir, "dst.log"))
+	re, err := openSegment(filepath.Join(dir, "dst.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,12 +429,12 @@ func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 
 func TestSyncFollowerRegistrationRules(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(filepath.Join(dir, "j.log"), JournalWithoutSync())
+	j, err := openSegment(filepath.Join(dir, "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	other, err := OpenJournal(filepath.Join(dir, "other.log"), JournalWithoutSync())
+	other, err := openSegment(filepath.Join(dir, "other.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestSyncFollowerRegistrationRules(t *testing.T) {
 }
 
 func TestTailRecvAfterJournalClose(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ func TestZeroAllocJournalSave(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalCompactAt(0))
+	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"),
+		LanesWithoutSync(), LanesCompactAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,7 @@ func TestZeroAllocJournalSave(t *testing.T) {
 }
 
 // TestZeroAllocLanesSave extends the gate to the laned medium: routing a
-// key to its lane, the packed-key staging path (compact cells are always on
-// under Lanes), and the lane's commit must together stay allocation-free
+// key to its lane, the packed-key staging path, and the lane's commit must together stay allocation-free
 // per steady-state save.
 func TestZeroAllocLanesSave(t *testing.T) {
 	if raceflag.Enabled {
@@ -85,22 +84,21 @@ func TestZeroAllocLanesSave(t *testing.T) {
 }
 
 // TestZeroAllocInstrumentedJournalSave is the telemetry-attached variant:
-// the journal registered as a /metrics collector, scraped before and
+// a one-lane medium registered as a /metrics collector, scraped before and
 // after the measured window. Collection is read-side (the scrape reads
-// the journal's existing counters), so a steady-state Cell.Save must
+// the lanes' existing counters), so a steady-state Cell.Save must
 // still allocate nothing per record with the instruments live.
 func TestZeroAllocInstrumentedJournalSave(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalCompactAt(0))
+	l, err := OpenLanes(t.TempDir(), LanesCount(1), LanesWithoutSync(), LanesCompactAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
+	defer l.Close()
 	reg := telemetry.NewRegistry()
-	reg.RegisterCollector("apn_journal", j)
+	reg.RegisterCollector("apn_journal", l)
 
 	scrapeAppends := func() float64 {
 		var b strings.Builder
@@ -118,7 +116,7 @@ func TestZeroAllocInstrumentedJournalSave(t *testing.T) {
 		return 0
 	}
 
-	cell := j.Cell("rx/0000002a")
+	cell := l.Cell("rx/0000002a")
 	v := uint64(0)
 	for i := 0; i < 64; i++ {
 		v++

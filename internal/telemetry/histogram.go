@@ -12,10 +12,9 @@ import (
 
 // Histogram is a goroutine-safe fixed-bucket histogram suitable for hot
 // paths: Observe is a binary search over the (immutable) upper bounds plus
-// two atomic adds and one CAS loop for the sum — no locks, no allocation.
-// The stats package's Histogram is the single-threaded experiment-harness
-// variant; this one exists so the datapath can record latencies while a
-// scrape reads them.
+// two atomic adds and one CAS loop for the sum — no locks, no allocation —
+// so the datapath can record latencies while a scrape reads them. It is
+// the repository's one histogram.
 //
 // Buckets are cumulative in the exposition (Prometheus "le" semantics);
 // internally each bucket counts only its own range and the render sums.
