@@ -18,27 +18,37 @@
 //
 //	resetsim -rekey-every 500 -msgs 2000 -loss 0.05 -reset-receiver 800
 //
+// With -failover-every n the receiver side is an HA cluster instead: every
+// n delivered packets the primary crashes, its standby takes over (the
+// epoch-fenced promotion wakes every SA from the replicated counters), and
+// the dead node rejoins as the next standby. -sas adds idle inbound SAs
+// that every takeover wakes:
+//
+//	resetsim -failover-every 200 -msgs 800 -loss 0.05 -sas 4
+//
+// Both gateway modes run on experiments.GatewayPair (-transport=udp
+// carries the traffic over real loopback sockets, -metrics serves the
+// live counters) and end in its check: the run fails on a replay
+// acceptance, a counter below its last snapshot, or a wake window overrun.
+//
 // With -campaign=<name> the simulation instead runs one of the stealth-DoS
 // campaigns from the adversary layer (window_edge, save_storm, rekey_cutover,
 // blackout_flood) at its baseline and hardened defense settings and prints
-// the bounded-degradation table row pair:
+// the bounded-degradation table row pair, and with -diskfault=<name> one of
+// the disk-chaos campaigns (fsync_storm, enospc_compact, single_lane_eio):
 //
 //	resetsim -campaign=window_edge -msgs 600
+//	resetsim -diskfault=single_lane_eio
 package main
 
 import (
-	cryptorand "crypto/rand"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"os"
-	"path/filepath"
 	"time"
 
-	"antireplay/internal/cluster"
-	"antireplay/internal/core"
 	"antireplay/internal/experiments"
 	"antireplay/internal/ike"
 	"antireplay/internal/ipsec"
@@ -195,46 +205,37 @@ func main() {
 	)
 	flag.Parse()
 
-	if *campaign != "" {
-		ccfg := experiments.DefaultCampaignsConfig()
-		ccfg.Seed = *seed
-		// -msgs retargets the campaign length only when given explicitly;
-		// the flow-mode default of 10000 would make the suite crawl.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "msgs" {
-				ccfg.Packets = int(*msgs)
-			}
-		})
-		tbl, err := experiments.CampaignsOnly(ccfg, *campaign)
+	fail := func(err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
 			os.Exit(1)
 		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if *diskflt != "" {
-		dcfg := experiments.DefaultDiskfaultConfig()
-		dcfg.Seed = *seed
-		// -msgs retargets the per-SA phase length only when given
-		// explicitly, as with -campaign.
+	// -campaign and -diskfault run one table and exit. -msgs retargets its
+	// phase length only when given explicitly; the flow-mode default of
+	// 10000 would make the suite crawl.
+	packets := func(n int) int {
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "msgs" {
-				dcfg.Packets = int(*msgs)
+				n = int(*msgs)
 			}
 		})
-		tbl, err := experiments.DiskfaultOnly(dcfg, *diskflt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
+		return n
+	}
+	if *campaign != "" || *diskflt != "" {
+		var tbl *experiments.Table
+		var err error
+		if *campaign != "" {
+			cfg := experiments.DefaultCampaignsConfig()
+			cfg.Seed, cfg.Packets = *seed, packets(cfg.Packets)
+			tbl, err = experiments.CampaignsOnly(cfg, *campaign)
+		} else {
+			cfg := experiments.DefaultDiskfaultConfig()
+			cfg.Seed, cfg.Packets = *seed, packets(cfg.Packets)
+			tbl, err = experiments.DiskfaultOnly(cfg, *diskflt)
 		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
+		fail(err)
+		fail(tbl.Render(os.Stdout))
 		return
 	}
 	if *rekeyN > 0 && *failN > 0 {
@@ -256,26 +257,19 @@ func main() {
 	var tele *simTelemetry
 	if *metrics != "" {
 		var err error
-		if tele, err = newSimTelemetry(*metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
+		tele, err = newSimTelemetry(*metrics)
+		fail(err)
 		defer tele.close()
 		fmt.Printf("metrics: listening on %s\n", tele.addr())
 	}
-	if *failN > 0 {
-		if err := runFailoverSim(*seed, *msgs, *failN, *loss, *kq, *w, *lanesN, *sasN, *trans, tele); err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
+	if *failN > 0 || *rekeyN > 0 {
+		var err error
+		if *failN > 0 {
+			err = runFailoverSim(*seed, *msgs, *failN, *loss, *kq, *w, *lanesN, *sasN, *trans, tele)
+		} else {
+			err = runRekeySim(*seed, *msgs, *rekeyN, *rstRcv, *loss, *kq, *w, *lanesN, *trans, tele)
 		}
-		tele.dumpEvents()
-		return
-	}
-	if *rekeyN > 0 {
-		if err := runRekeySim(*seed, *msgs, *rekeyN, *rstRcv, *loss, *kq, *w, *lanesN, *trans, tele); err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
+		fail(err)
 		tele.dumpEvents()
 		return
 	}
@@ -296,10 +290,7 @@ func main() {
 	}
 
 	f, err := experiments.NewFlow(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-		os.Exit(1)
-	}
+	fail(err)
 
 	if *rstSnd > 0 {
 		f.AtSendCount(*rstSnd, func() {
@@ -354,45 +345,10 @@ func main() {
 // (waking every SA from the replicated counters), and the dead node reboots
 // into the next standby, so successive failovers alternate nodes and
 // exercise failback. The sender keeps transmitting throughout; the run
-// reports per-failover replication lag, the post-takeover false-reject
-// window, and — the §3 safety claim under failover — that replaying the
-// entire history re-delivers nothing.
+// reports per-failover replication lag and the post-takeover horizon, then
+// replays the entire history and fails on the scenario check: a replay
+// acceptance, a counter regression, or a wake window overrun.
 func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, w int, lanes, sas int, transport string, tele *simTelemetry) error {
-	dir, err := os.MkdirTemp("", "resetsim-failover-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	// openJ opens a node's medium by name with -lanes commit lanes, and is
-	// also the reboot path, so a dead node comes back on the same medium
-	// shape it crashed with.
-	openJ := func(name string) (*store.Lanes, error) {
-		return store.OpenLanes(filepath.Join(dir, name), store.LanesCount(max(lanes, 1)),
-			store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
-	}
-
-	jA, err := openJ("sender")
-	if err != nil {
-		return err
-	}
-	defer jA.Close()
-	A, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jA, K: k, W: w})
-	if err != nil {
-		return err
-	}
-	defer A.Close()
-	jB, err := openJ("node-a")
-	if err != nil {
-		return err
-	}
-	B, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jB, K: k, W: w,
-		OnLifecycle: tele.onLifecycle()})
-	if err != nil {
-		jB.Close()
-		return err
-	}
-	nodeNames := map[*store.Lanes]string{jB: "node-a"}
-
 	rng := rand.New(rand.NewSource(seed))
 	res, err := ike.Establish(ike.Config{PSK: []byte("resetsim"), ID: "gw-a",
 		Rand: rand.New(rand.NewSource(rng.Int63()))},
@@ -402,263 +358,145 @@ func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, 
 		return err
 	}
 	keys := res.Keys
-	srcA := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	dstB := netip.AddrFrom4([4]byte{10, 0, 0, 2})
-	selAB := ipsec.Selector{Src: netip.PrefixFrom(srcA, 32), Dst: netip.PrefixFrom(dstB, 32)}
-	if _, err := A.AddOutbound(keys.SPIInitToResp, keys.InitToResp, selAB); err != nil {
-		return err
-	}
-	if _, err := B.AddInbound(keys.SPIInitToResp, keys.InitToResp); err != nil {
-		return err
-	}
 	car, err := newCarrier(transport, keys.SPIInitToResp)
 	if err != nil {
 		return err
 	}
 	defer car.close()
-	if car.udp() {
-		fmt.Printf("transport: UDP loopback %v <-> %v\n", car.ea.Addr(), car.eb.Addr())
-		tele.registerLink(car.la)
+	p, err := newSimPair("failover", seed, k, w, lanes, loss, rng, car, tele)
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	if _, err := p.AddTunnel(keys.SPIInitToResp, 0, keys.InitToResp, ipsec.KeyMaterial{}); err != nil {
+		return err
 	}
 	// -sas extras: additional inbound SAs on the cluster node. They carry no
 	// traffic here, but they spread counters across the lanes, replicate,
 	// and are woken (FETCH + leap + SAVE, each) by every takeover.
 	for i := 1; i < sas; i++ {
-		km := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-		if _, err := cryptorand.Read(km.AuthKey); err != nil {
-			return err
-		}
-		if _, err := B.AddInbound(uint32(0x00C0_0000+i), km); err != nil {
+		if _, err := p.Receiver().AddInbound(uint32(0x00C0_0000+i), p.Keys()); err != nil {
 			return err
 		}
 	}
+	if err := p.StartStandby(); err != nil {
+		return err
+	}
+	tele.setRoles(p.Sender(), p.Receiver(), p.Standby())
 
-	jS, err := openJ("node-b")
-	if err != nil {
-		return err
-	}
-	nodeNames[jS] = "node-b"
-	standby, err := cluster.NewStandby(cluster.Config{Source: jB, Journal: jS, K: k, W: w,
-		OnPromote: tele.onPromote(), OnLifecycle: tele.onLifecycle()})
-	if err != nil {
-		jS.Close()
-		return err
-	}
-	if err := standby.Start(); err != nil {
-		return err
-	}
-	if err := standby.Mirror(B.Snapshot()); err != nil {
-		return err
-	}
-	tele.setRoles(A, B, standby)
-	journals := []*store.Lanes{jB, jS}
-	defer func() {
-		for _, j := range journals {
-			j.Close()
-		}
-	}()
-
-	var (
-		delivered, sacrificed, lost uint64
-		failovers                   int
-		sinceFailover               uint64
-		history                     [][]byte
-		seen                        = make(map[string]bool)
-	)
 	rxKey := ipsec.InboundKey(keys.SPIInitToResp)
+	sinceFailover := uint64(0)
 	for i := uint64(0); i < msgs; i++ {
-		var wire []byte
-		for {
-			wire, err = A.Seal(srcA, dstB, []byte("resetsim payload"))
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, core.ErrSaveLag) {
-				return err
-			}
-			tele.countSaveLagRetry()
-			time.Sleep(20 * time.Microsecond)
-		}
-		history = append(history, wire)
-		if rng.Float64() < loss {
-			lost++
-			tele.countLost()
-			continue
-		}
-		got, err := car.deliver(wire)
+		ok, err := p.Send(0, []byte("resetsim payload"))
 		if err != nil {
 			return err
 		}
-		for {
-			_, verdict, err := B.Open(got)
-			if err != nil {
-				return err
-			}
-			if verdict == core.VerdictHorizon {
-				tele.countHorizonStall()
-				time.Sleep(20 * time.Microsecond)
-				continue
-			}
-			if verdict.Delivered() {
-				delivered++
-				sinceFailover++
-				seen[string(wire)] = true
-				tele.countDelivered()
-			} else {
-				sacrificed++
-				tele.countSacrificed()
-			}
-			break
+		if ok {
+			sinceFailover++
 		}
 		if sinceFailover < failEvery {
 			continue
 		}
 		sinceFailover = 0
-		failovers++
-		tele.countFailover()
-		lagRecords := standby.Stats().LagRecords
-		lagValues := standby.LagValues()
-		edge, _, _ := B.Journal().Cell(rxKey).Fetch()
-		B.ResetAll() // the crash: volatile counters lost, journal survives
-		gw2, epoch, err := standby.Takeover()
+		lagRecords := p.Standby().Stats().LagRecords
+		lagValues := p.Standby().LagValues()
+		edge, _, _ := p.Receiver().Journal().Cell(rxKey).Fetch()
+		p.Crash() // volatile counters lost, journal survives
+		epoch, err := p.Takeover()
 		if err != nil {
 			return err
 		}
-		wakeEdge, _, _ := gw2.Journal().Cell(rxKey).Fetch()
+		wakeEdge, _, _ := p.Receiver().Journal().Cell(rxKey).Fetch()
 		fmt.Printf("delivered=%d  failover %d: epoch %d, lag %d records / %d values, rx horizon %d -> %d\n",
-			delivered, failovers, epoch, lagRecords, lagValues, edge, wakeEdge)
-
+			p.Delivered.Load(), p.Takeovers.Load(), epoch, lagRecords, lagValues, edge, wakeEdge)
 		// The dead node reboots into the next standby (failback roles).
-		deadJournal := B.Journal()
-		deadName := nodeNames[deadJournal]
-		B.Close()
-		deadJournal.Close()
-		reborn, err := openJ(deadName)
-		if err != nil {
+		if err := p.Rejoin(); err != nil {
 			return err
 		}
-		nodeNames[reborn] = deadName
-		journals = append(journals, reborn)
-		standby, err = cluster.NewStandby(cluster.Config{Source: gw2.Journal(), Journal: reborn, K: k, W: w,
-			OnPromote: tele.onPromote(), OnLifecycle: tele.onLifecycle()})
-		if err != nil {
-			return err
-		}
-		if err := standby.Start(); err != nil {
-			return err
-		}
-		if err := standby.Mirror(gw2.Snapshot()); err != nil {
-			return err
-		}
-		B = gw2
-		tele.setRoles(nil, B, standby)
+		tele.setRoles(nil, p.Receiver(), p.Standby())
 	}
-	defer standby.Stop()
 
 	// Adversary: replay the entire recorded history at the final primary
 	// (over the same transport the live traffic used).
-	replays := 0
-	for _, wire := range history {
-		got, err := car.deliver(wire)
-		if err != nil {
-			return err
-		}
-		_, verdict, _ := B.Open(got)
-		if verdict.Delivered() && seen[string(wire)] {
-			replays++
-		}
+	if err := p.ReplayAll(car.deliver); err != nil {
+		return err
 	}
 	fmt.Printf("\nsent=%d delivered=%d lost=%d sacrificed=%d failovers=%d\n",
-		msgs, delivered, lost, sacrificed, failovers)
-	fmt.Printf("replayed full history: %d re-accepted (MUST be 0)\n", replays)
-	if replays > 0 {
-		return fmt.Errorf("SAFETY VIOLATION: %d replays accepted across failovers", replays)
+		msgs, p.Delivered.Load(), p.Lost.Load(), p.Sacrificed.Load(), p.Takeovers.Load())
+	fmt.Printf("replayed full history: %d re-accepted (MUST be 0)\n", p.Replays())
+	return p.Check()
+}
+
+// newSimPair builds a gateway mode's pair: every node's medium reports
+// lane faults to the event ring, and the path draws loss before the
+// carrier. The telemetry scrape reads the pair's ledger.
+func newSimPair(mode string, seed int64, k uint64, w, lanes int, loss float64, rng *rand.Rand,
+	car *carrier, tele *simTelemetry) (*experiments.GatewayPair, error) {
+	p, err := experiments.NewGatewayPair(experiments.PairSetup{
+		Scenario: "resetsim " + mode, Seed: seed, K: k, W: w, Lanes: lanes,
+		Options:     []store.LanesOption{store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events()))},
+		OnLifecycle: tele.onLifecycle(),
+		OnPromote:   tele.onPromote(),
+		Path: func(wire []byte) ([]byte, error) {
+			if rng.Float64() < loss {
+				return nil, nil
+			}
+			return car.deliver(wire)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if car.udp() {
+		fmt.Printf("transport: UDP loopback %v <-> %v\n", car.ea.Addr(), car.eb.Addr())
+		tele.registerLink(car.la)
+	}
+	tele.setLedger(p.Ledger)
+	return p, nil
 }
 
 // runRekeySim is the -rekey-every mode: a journal-backed gateway pair whose
 // single tunnel the rekey orchestrator rolls over every rekeyEvery
 // delivered packets. loss applies both to data packets and to the rekey
 // exchange's messages; resetAt > 0 crashes the receiver gateway
-// mid-exchange at the first rollover after that many deliveries.
+// mid-exchange at the first rollover after that many deliveries. The run
+// ends in the scenario check, like the failover mode.
 func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k uint64, w int, lanes int, transport string, tele *simTelemetry) error {
-	dir, err := os.MkdirTemp("", "resetsim-rekey-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		j, err := store.OpenLanes(filepath.Join(dir, name), store.LanesCount(max(lanes, 1)),
-			store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
-		if err != nil {
-			return nil, err
-		}
-		return ipsec.NewGateway(ipsec.GatewayConfig{Journal: j, K: k, W: w,
-			OnLifecycle: tele.onLifecycle()})
-	}
-	gwA, err := mkGateway("a")
-	if err != nil {
-		return err
-	}
-	defer func() { gwA.Close(); gwA.Journal().Close() }()
-	gwB, err := mkGateway("b")
-	if err != nil {
-		return err
-	}
-	defer func() { gwB.Close(); gwB.Journal().Close() }()
-
 	rng := rand.New(rand.NewSource(seed))
 	ikeCfg := func(id string) ike.Config {
 		return ike.Config{PSK: []byte("resetsim"), ID: id,
 			Rand: rand.New(rand.NewSource(rng.Int63()))}
 	}
-	srcA := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	dstB := netip.AddrFrom4([4]byte{10, 0, 0, 2})
-	selAB := ipsec.Selector{Src: netip.PrefixFrom(srcA, 32), Dst: netip.PrefixFrom(dstB, 32)}
-	selBA := ipsec.Selector{Src: netip.PrefixFrom(dstB, 32), Dst: netip.PrefixFrom(srcA, 32)}
-
 	res, err := ike.Establish(ikeCfg("gw-a"), ikeCfg("gw-b"))
 	if err != nil {
 		return err
 	}
 	keys := res.Keys
-	if _, err := gwA.AddOutbound(keys.SPIInitToResp, keys.InitToResp, selAB); err != nil {
-		return err
-	}
-	if _, err := gwA.AddInbound(keys.SPIRespToInit, keys.RespToInit); err != nil {
-		return err
-	}
-	if _, err := gwB.AddInbound(keys.SPIInitToResp, keys.InitToResp); err != nil {
-		return err
-	}
-	if _, err := gwB.AddOutbound(keys.SPIRespToInit, keys.RespToInit, selBA); err != nil {
-		return err
-	}
 	car, err := newCarrier(transport, keys.SPIInitToResp)
 	if err != nil {
 		return err
 	}
 	defer car.close()
-	if car.udp() {
-		fmt.Printf("transport: UDP loopback %v <-> %v\n", car.ea.Addr(), car.eb.Addr())
-		tele.registerLink(car.la)
+	p, err := newSimPair("rekey", seed, k, w, lanes, loss, rng, car, tele)
+	if err != nil {
+		return err
 	}
-	tele.setRoles(gwA, gwB, nil)
+	defer p.Close()
+	if _, err := p.AddTunnel(keys.SPIInitToResp, keys.SPIRespToInit, keys.InitToResp, keys.RespToInit); err != nil {
+		return err
+	}
+	tele.setRoles(p.Sender(), p.Receiver(), nil)
 
 	var (
-		delivered, sacrificed, lost uint64
-		resetsInjected              int
-		armReset                    bool
-		history                     [][]byte
-		seen                        = make(map[string]bool)
-		observer                    func(rekey.Event)
+		resetsInjected int
+		armReset       bool
+		observer       func(rekey.Event)
 	)
 	if tele != nil {
 		observer = rekey.EventObserver(tele.events())
 	}
 	o, err := rekey.New(rekey.Config{
-		A: gwA, B: gwB, Observer: observer,
+		A: p.Sender(), B: p.Receiver(), Observer: observer,
 		Exchange: func(oldAB, oldBA uint32) (ike.ChildKeys, error) {
 			ini, err := ike.NewRekeyInitiator(ikeCfg("gw-a"), oldAB, oldBA)
 			if err != nil {
@@ -675,9 +513,9 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 			if armReset {
 				armReset = false
 				resetsInjected++
-				fmt.Printf("delivered=%d  receiver gateway reset mid-exchange\n", delivered)
-				gwB.ResetAll()
-				gwB.WakeAll() //nolint:errcheck // recovery failures surface as exchange errors below
+				fmt.Printf("delivered=%d  receiver gateway reset mid-exchange\n", p.Delivered.Load())
+				p.Crash()
+				p.Wake() //nolint:errcheck // recovery failures surface as exchange errors below
 			}
 			reqLost := rng.Float64() < loss
 			respLost := rng.Float64() < loss
@@ -710,64 +548,18 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 		return err
 	}
 
-	seal := func() ([]byte, error) {
-		for {
-			wire, err := gwA.Seal(srcA, dstB, []byte("resetsim payload"))
-			if err == nil {
-				history = append(history, wire)
-				return wire, nil
-			}
-			if !errors.Is(err, core.ErrSaveLag) {
-				return nil, err
-			}
-			tele.countSaveLagRetry()
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	open := func(wire []byte) error {
-		for {
-			_, verdict, err := gwB.Open(wire)
-			if err != nil {
-				return err
-			}
-			switch {
-			case verdict == core.VerdictHorizon:
-				tele.countHorizonStall()
-				time.Sleep(20 * time.Microsecond)
-			case verdict.Delivered():
-				delivered++
-				seen[string(wire)] = true
-				tele.countDelivered()
-				return nil
-			default:
-				sacrificed++
-				tele.countSacrificed()
-				return nil
-			}
-		}
-	}
-
 	resetArmed := resetAt > 0
 	sinceRekey := uint64(0)
 	for i := uint64(0); i < msgs; i++ {
-		wire, err := seal()
+		ok, err := p.Send(0, []byte("resetsim payload"))
 		if err != nil {
 			return err
 		}
-		if rng.Float64() < loss {
-			lost++
-			tele.countLost()
+		if !ok {
 			continue
 		}
-		got, err := car.deliver(wire)
-		if err != nil {
-			return err
-		}
-		if err := open(got); err != nil {
-			return err
-		}
 		sinceRekey++
-		if resetArmed && delivered >= resetAt {
+		if resetArmed && p.Delivered.Load() >= resetAt {
 			resetArmed, armReset = false, true
 		}
 		if sinceRekey >= rekeyEvery {
@@ -778,7 +570,7 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 					ab, ba := tun.SPIs()
 					car.registerSPI(ab) // new generation rides the same wire
 					fmt.Printf("delivered=%d  rolled over to SPIs %#x/%#x (attempt %d)\n",
-						delivered, ab, ba, attempt)
+						p.Delivered.Load(), ab, ba, attempt)
 					break
 				}
 				if attempt >= 64 {
@@ -792,29 +584,17 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 	}
 
 	// Adversary: replay the entire recorded history (over the same
-	// transport the live traffic used). A second delivery of any wire is a
-	// safety violation.
-	replays := 0
-	for _, wire := range history {
-		got, err := car.deliver(wire)
-		if err != nil {
-			return err
-		}
-		_, verdict, _ := gwB.Open(got)
-		if verdict.Delivered() && seen[string(wire)] {
-			replays++
-		}
+	// transport the live traffic used).
+	if err := p.ReplayAll(car.deliver); err != nil {
+		return err
 	}
-
 	st := o.Stats()
-	fmt.Printf("\nsent=%d delivered=%d lost=%d sacrificed=%d\n", msgs, delivered, lost, sacrificed)
+	fmt.Printf("\nsent=%d delivered=%d lost=%d sacrificed=%d\n",
+		msgs, p.Delivered.Load(), p.Lost.Load(), p.Sacrificed.Load())
 	fmt.Printf("rollovers=%d exchange_failures=%d retired=%d resets_injected=%d\n",
 		st.Rollovers, st.ExchangeFailures, st.Retired, resetsInjected)
 	fmt.Printf("journal keys: A=%d B=%d (retired generations tombstoned)\n",
-		gwA.Journal().Keys(), gwB.Journal().Keys())
-	fmt.Printf("replayed full history: %d re-accepted (MUST be 0)\n", replays)
-	if replays > 0 {
-		return fmt.Errorf("SAFETY VIOLATION: %d replays accepted across rekeys", replays)
-	}
-	return nil
+		p.Sender().Journal().Keys(), p.Receiver().Journal().Keys())
+	fmt.Printf("replayed full history: %d re-accepted (MUST be 0)\n", p.Replays())
+	return p.Check()
 }

@@ -3,11 +3,12 @@ package main
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"antireplay/internal/cluster"
+	"antireplay/internal/experiments"
 	"antireplay/internal/ipsec"
-	"antireplay/internal/stats"
 	"antireplay/internal/telemetry"
 	wirenet "antireplay/internal/wire"
 )
@@ -29,14 +30,8 @@ type simTelemetry struct {
 	ev  *telemetry.Events
 	srv *telemetry.Server
 
-	// Sim-loop instruments, vended once at construction (the hot loop
-	// never does a registry lookup).
-	delivered  *stats.ShardedCounter
-	sacrificed *stats.ShardedCounter
-	lost       *stats.ShardedCounter
-	horizon    *stats.ShardedCounter
-	saveLag    *stats.ShardedCounter
-	failovers  *stats.ShardedCounter
+	// ledger is the running scenario's accounting, read at scrape time.
+	ledger atomic.Pointer[experiments.Ledger]
 
 	mu      sync.Mutex
 	sender  *ipsec.Gateway
@@ -52,15 +47,31 @@ func newSimTelemetry(addr string) (*simTelemetry, error) {
 		ev:  telemetry.NewEvents(256),
 	}
 	telemetry.RegisterProcess(t.reg, "apn_process")
-	t.delivered = t.reg.Counter("apn_sim_delivered_total", "Packets delivered end to end.")
-	t.sacrificed = t.reg.Counter("apn_sim_false_rejects_total",
-		"Legitimate packets the receiver discarded (the post-wake sacrificed window).")
-	t.lost = t.reg.Counter("apn_sim_lost_total", "Packets dropped by simulated link loss.")
-	t.horizon = t.reg.Counter("apn_sim_horizon_stalls_total",
-		"Deliveries retried because the receiver's durable horizon lagged (VerdictHorizon).")
-	t.saveLag = t.reg.Counter("apn_sim_save_lag_retries_total",
-		"Seals retried because the sender's durable horizon lagged (ErrSaveLag).")
-	t.failovers = t.reg.Counter("apn_sim_failovers_total", "Primary crashes followed by standby takeover.")
+	// The sim's own series are the scenario ledger's counters.
+	for _, c := range []struct {
+		name, help string
+		count      func(*experiments.Ledger) *atomic.Uint64
+	}{
+		{"apn_sim_delivered_total", "Packets delivered end to end.",
+			func(l *experiments.Ledger) *atomic.Uint64 { return &l.Delivered }},
+		{"apn_sim_false_rejects_total", "Legitimate packets the receiver discarded (the post-wake sacrificed window).",
+			func(l *experiments.Ledger) *atomic.Uint64 { return &l.Sacrificed }},
+		{"apn_sim_lost_total", "Packets dropped by simulated link loss.",
+			func(l *experiments.Ledger) *atomic.Uint64 { return &l.Lost }},
+		{"apn_sim_horizon_stalls_total", "Deliveries retried because the receiver's durable horizon lagged (VerdictHorizon).",
+			func(l *experiments.Ledger) *atomic.Uint64 { return &l.HorizonStalls }},
+		{"apn_sim_save_lag_retries_total", "Seals retried because the sender's durable horizon lagged (ErrSaveLag).",
+			func(l *experiments.Ledger) *atomic.Uint64 { return &l.SaveLagRetries }},
+		{"apn_sim_failovers_total", "Primary crashes followed by standby takeover.",
+			func(l *experiments.Ledger) *atomic.Uint64 { return &l.Takeovers }},
+	} {
+		t.reg.CounterFunc(c.name, c.help, func() uint64 {
+			if l := t.ledger.Load(); l != nil {
+				return c.count(l).Load()
+			}
+			return 0
+		})
+	}
 
 	// Role collectors resolve the current holder at scrape time.
 	t.reg.RegisterCollector("apn_gateway", telemetry.CollectorFunc(func(emit telemetry.Emit) {
@@ -155,40 +166,10 @@ func (t *simTelemetry) close() {
 	}
 }
 
-// Hot-loop accounting; nil-safe.
-func (t *simTelemetry) countDelivered() {
+// setLedger points the sim series at the running scenario's ledger.
+func (t *simTelemetry) setLedger(l *experiments.Ledger) {
 	if t != nil {
-		t.delivered.Add(1)
-	}
-}
-
-func (t *simTelemetry) countSacrificed() {
-	if t != nil {
-		t.sacrificed.Add(1)
-	}
-}
-
-func (t *simTelemetry) countLost() {
-	if t != nil {
-		t.lost.Add(1)
-	}
-}
-
-func (t *simTelemetry) countHorizonStall() {
-	if t != nil {
-		t.horizon.Add(1)
-	}
-}
-
-func (t *simTelemetry) countSaveLagRetry() {
-	if t != nil {
-		t.saveLag.Add(1)
-	}
-}
-
-func (t *simTelemetry) countFailover() {
-	if t != nil {
-		t.failovers.Add(1)
+		t.ledger.Store(l)
 	}
 }
 

@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"net/netip"
-	"os"
-	"path/filepath"
 	"time"
 
 	"antireplay/internal/adversary"
-	"antireplay/internal/cluster"
-	"antireplay/internal/core"
 	"antireplay/internal/ike"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/rekey"
@@ -157,14 +151,15 @@ func campaignsTable(cfg CampaignsConfig, only string) (*Table, error) {
 			row   campRow
 			floor float64
 		}{{base, spec.baseFloor}, {hard, spec.hardFloor}} {
-			if r.row.replays != 0 {
-				return nil, fmt.Errorf("experiments: campaign %s (%s): %d replay acceptances",
-					spec.campaign, r.row.defense, r.row.replays)
-			}
 			if g := r.row.goodput(); g < r.floor {
 				return nil, fmt.Errorf("experiments: campaign %s (%s): goodput %.3f below floor %.2f",
 					spec.campaign, r.row.defense, g, r.floor)
 			}
+			t.AddRow(spec.campaign, r.row.defense,
+				fmt.Sprint(r.row.sent), fmt.Sprint(r.row.delivered),
+				fmt.Sprintf("%.1f%%", 100*r.row.goodput()),
+				fmt.Sprintf("%.0f%%", 100*r.floor),
+				r.row.cost, fmt.Sprint(r.row.replays))
 		}
 		// The knob must measurably improve the bound.
 		switch spec.campaign {
@@ -182,16 +177,6 @@ func campaignsTable(cfg CampaignsConfig, only string) (*Table, error) {
 				return nil, fmt.Errorf("experiments: campaign %s: hardened goodput %.3f <= baseline %.3f",
 					spec.campaign, hard.goodput(), base.goodput())
 			}
-		}
-		for _, r := range []struct {
-			row   campRow
-			floor float64
-		}{{base, spec.baseFloor}, {hard, spec.hardFloor}} {
-			t.AddRow(spec.campaign, r.row.defense,
-				fmt.Sprint(r.row.sent), fmt.Sprint(r.row.delivered),
-				fmt.Sprintf("%.1f%%", 100*r.row.goodput()),
-				fmt.Sprintf("%.0f%%", 100*r.floor),
-				r.row.cost, fmt.Sprint(r.row.replays))
 		}
 	}
 	return t, nil
@@ -217,53 +202,32 @@ func campIKE(seed int64, id string) ike.Config {
 		Rand: rand.New(rand.NewSource(seed)), ID: id}
 }
 
-// gatedPair builds a tunnel peer pair whose a->b direction crosses a
-// GateLink, recording the full wiretap history and exactly-once delivery
-// accounting at b.
-type gatedPair struct {
-	a, b    *tunnel.Peer
-	gate    *wire.GateLink
-	history [][]byte
-
-	delivered map[string]bool
-	nDeliver  int
-	replays   int
-}
-
-func newGatedPair(cfg CampaignsConfig, k uint64, w int) (*gatedPair, error) {
-	g := &gatedPair{delivered: make(map[string]bool)}
+// gatedTunnel builds the victim tunnel.Pair of the window_edge and
+// save_storm rows. Its synchronous in-memory stores keep those rows
+// seed-exact. The p->q direction crosses a GateLink, and the shared Ledger
+// books the wiretap history and q's deliveries (keyed by payload).
+func gatedTunnel(cfg CampaignsConfig, k uint64, w int) (a, b *tunnel.Peer, gate *wire.GateLink, l *Ledger, err error) {
+	l = newLedger()
 	link := &campLink{}
-	g.gate = wire.NewGateLink(link)
-	onData := func(p []byte) {
-		if g.delivered[string(p)] {
-			g.replays++
-			return
-		}
-		g.delivered[string(p)] = true
-		g.nDeliver++
-	}
-	a, b, err := tunnel.Pair(
+	gate = wire.NewGateLink(link)
+	a, b, err = tunnel.Pair(
 		tunnel.Config{Name: "victim-p", K: k},
-		tunnel.Config{Name: "victim-q", K: k, W: w, OnData: onData},
+		tunnel.Config{Name: "victim-q", K: k, W: w, OnData: func(p []byte) { l.settle(p, true, true) }},
 		campIKE(cfg.Seed+101, "p"), campIKE(cfg.Seed+102, "q"),
 		func(wireBytes []byte, deliver func([]byte)) {
 			link.deliver = deliver
-			g.history = append(g.history, append([]byte(nil), wireBytes...))
-			g.gate.Send(wireBytes) //nolint:errcheck // drops are the adversary's verdict
+			l.record(append([]byte(nil), wireBytes...))
+			gate.Send(wireBytes) //nolint:errcheck // drops are the adversary's verdict
 		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	g.a, g.b = a, b
-	return g, nil
+	return a, b, gate, l, err
 }
 
-// replayAll re-injects the entire wiretap history at b; OnData's
-// exactly-once map turns any second delivery into a replay count.
-func (g *gatedPair) replayAll() {
-	for _, w := range g.history {
-		g.b.Receive(w) //nolint:errcheck // rejections are the expected outcome
-	}
+// gatedPath makes a GateLink the gateway pair's path: everything the gate
+// lets through, now or on a later release, opens at the current receiver
+// through deliver.
+func gatedPath(deliver func(p []byte)) (*wire.GateLink, func([]byte) ([]byte, error)) {
+	gate := wire.NewGateLink(&campLink{deliver: deliver})
+	return gate, func(w []byte) ([]byte, error) { return nil, gate.Send(w) }
 }
 
 // snipeRow prices the window-edge snipe against window width w: every
@@ -273,33 +237,33 @@ func (g *gatedPair) replayAll() {
 // them (with ESN the deep-late packets fail ICV under the wrong inferred
 // epoch — either way, goodput the victim never sees).
 func snipeRow(cfg CampaignsConfig, w int) (campRow, error) {
-	g, err := newGatedPair(cfg, 25, w)
+	a, b, gate, l, err := gatedTunnel(cfg, 25, w)
 	if err != nil {
 		return campRow{}, err
 	}
 	snipe := adversary.NewWindowEdgeSnipe(adversary.SnipeConfig{
 		HoldEvery: 16, HoldDepth: 96, DupEvery: 10,
 	})
-	if err := snipe.Arm(adversary.Hooks{Gate: g.gate}); err != nil {
+	if err := snipe.Arm(adversary.Hooks{Gate: gate}); err != nil {
 		return campRow{}, err
 	}
 	snipe.Activate()
 	n := cfg.Packets
 	for i := 0; i < n; i++ {
-		if err := g.a.Send([]byte(fmt.Sprintf("pkt-%06d", i))); err != nil {
+		if err := a.Send([]byte(fmt.Sprintf("pkt-%06d", i))); err != nil {
 			return campRow{}, err
 		}
 	}
 	snipe.Deactivate()
-	g.replayAll()
+	l.replay(func(w []byte) { b.Receive(w) }) //nolint:errcheck // rejections are the expected outcome
 	st := snipe.Stats()
 	return campRow{
 		defense:   fmt.Sprintf("W=%d", w),
 		sent:      n,
-		delivered: g.nDeliver,
+		delivered: int(l.Delivered.Load()),
 		cost:      fmt.Sprintf("held %d, dups %d", st.Held, st.DupsInjected),
-		replays:   g.replays,
-	}, nil
+		replays:   l.replays,
+	}, l.check(fmt.Sprintf("window_edge W=%d", w), cfg.Seed)
 }
 
 // stormRow prices the SAVE-storm against SAVE interval k: the storm
@@ -308,7 +272,7 @@ func snipeRow(cfg CampaignsConfig, w int) (campRow, error) {
 // The wake sacrifice is bounded by the leap (2K), so the adaptive-K
 // defense — a smaller K — shrinks the reset bill the storm set up.
 func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
-	g, err := newGatedPair(cfg, k, 64)
+	a, b, gate, l, err := gatedTunnel(cfg, k, 64)
 	if err != nil {
 		return campRow{}, err
 	}
@@ -316,14 +280,14 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 	if err != nil {
 		return campRow{}, err
 	}
-	if err := storm.Arm(adversary.Hooks{Gate: g.gate}); err != nil {
+	if err := storm.Arm(adversary.Hooks{Gate: gate}); err != nil {
 		return campRow{}, err
 	}
 	storm.Activate()
 	sent := 0
 	send := func() error {
 		sent++
-		return g.a.Send([]byte(fmt.Sprintf("s-%06d", sent)))
+		return a.Send([]byte(fmt.Sprintf("s-%06d", sent)))
 	}
 	for i := 0; i < 2*cfg.Packets; i++ {
 		if err := send(); err != nil {
@@ -337,8 +301,8 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 			return campRow{}, err
 		}
 	}
-	g.b.Reset()
-	if err := g.b.Wake(); err != nil {
+	b.Reset()
+	if err := b.Wake(); err != nil {
 		return campRow{}, err
 	}
 	for i := 0; i < 2*cfg.Packets; i++ {
@@ -347,15 +311,15 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 		}
 	}
 	storm.Deactivate()
-	g.replayAll()
+	l.replay(func(w []byte) { b.Receive(w) }) //nolint:errcheck // rejections are the expected outcome
 	st := storm.Stats()
 	return campRow{
 		defense:   fmt.Sprintf("K=%d", k),
 		sent:      sent,
-		delivered: g.nDeliver,
+		delivered: int(l.Delivered.Load()),
 		cost:      fmt.Sprintf("dropped %d, parked reset", st.Dropped),
-		replays:   g.replays,
-	}, nil
+		replays:   l.replays,
+	}, l.check(fmt.Sprintf("save_storm K=%d", k), cfg.Seed)
 }
 
 // rekeyCutRow prices exchange suppression against the retry budget: the
@@ -364,86 +328,24 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 // (MaxAttempts=2) abandons the trigger repeatedly before converging; a
 // deep one rides the suppression out in a single trigger.
 func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
-	dir, err := os.MkdirTemp("", "campaign-rekey-*")
+	var p *GatewayPair
+	gate, path := gatedPath(func(w []byte) { p.Open(w) }) //nolint:errcheck // rejections are the campaign's effect
+	p, err := NewGatewayPair(PairSetup{
+		Scenario: fmt.Sprintf("rekey_cutover MaxAttempts=%d", maxAttempts), Seed: cfg.Seed,
+		K: 25, W: 64, Options: []store.LanesOption{store.LanesWithoutSync()},
+		// The soft lifetime trips midway through phase 1.
+		Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.Packets) * 300 / 2},
+		Path:     path,
+	})
 	if err != nil {
 		return campRow{}, err
 	}
-	defer os.RemoveAll(dir)
-
-	const k = 25
-	payload := make([]byte, 280)
-	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		j, err := store.OpenLanes(filepath.Join(dir, name), store.LanesCount(1), store.LanesWithoutSync())
-		if err != nil {
-			return nil, err
-		}
-		return ipsec.NewGateway(ipsec.GatewayConfig{
-			Journal: j, K: k, W: 64,
-			// The soft lifetime trips midway through phase 1.
-			Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.Packets) * 300 / 2},
-		})
-	}
-	A, err := mkGateway("a")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer func() { A.Close(); A.Journal().Close() }()
-	B, err := mkGateway("b")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer func() { B.Close(); B.Journal().Close() }()
-
+	defer p.Close()
 	cut := adversary.NewRekeyCut(adversary.RekeyCutConfig{
 		SuppressExchanges: 6, BlackoutPackets: 48,
 	})
-	var (
-		history []([]byte)
-		seen    = make(map[string]bool)
-		row     campRow
-	)
-	open := func(w []byte) {
-		for tries := 0; ; tries++ {
-			_, v, err := B.Open(w)
-			if err != nil {
-				return
-			}
-			if v == core.VerdictHorizon && tries < 10000 {
-				time.Sleep(10 * time.Microsecond)
-				continue
-			}
-			if v.Delivered() {
-				if seen[string(w)] {
-					row.replays++
-				} else {
-					seen[string(w)] = true
-					row.delivered++
-				}
-			}
-			return
-		}
-	}
-	link := &campLink{deliver: open}
-	gate := wire.NewGateLink(link)
 	if err := cut.Arm(adversary.Hooks{Gate: gate}); err != nil {
 		return campRow{}, err
-	}
-
-	addrA := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	addrB := netip.AddrFrom4([4]byte{10, 0, 0, 2})
-	send := func() error {
-		for tries := 0; ; tries++ {
-			w, err := A.Seal(addrA, addrB, payload)
-			if err == nil {
-				row.sent++
-				history = append(history, w)
-				return gate.Send(w)
-			}
-			if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
-				return err
-			}
-			time.Sleep(10 * time.Microsecond)
-		}
 	}
 
 	res, err := ike.Establish(campIKE(cfg.Seed+201, "init"), campIKE(cfg.Seed+202, "resp"))
@@ -451,26 +353,15 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 		return campRow{}, err
 	}
 	kk := res.Keys
-	sel := ipsec.Selector{Src: netip.PrefixFrom(addrA, 32), Dst: netip.PrefixFrom(addrB, 32)}
-	if _, err := A.AddOutbound(kk.SPIInitToResp, kk.InitToResp, sel); err != nil {
-		return campRow{}, err
-	}
-	if _, err := B.AddInbound(kk.SPIInitToResp, kk.InitToResp); err != nil {
-		return campRow{}, err
-	}
 	// The reverse direction exists so the orchestrator can track the pair.
-	selR := ipsec.Selector{Src: netip.PrefixFrom(addrB, 32), Dst: netip.PrefixFrom(addrA, 32)}
-	if _, err := B.AddOutbound(kk.SPIRespToInit, kk.RespToInit, selR); err != nil {
-		return campRow{}, err
-	}
-	if _, err := A.AddInbound(kk.SPIRespToInit, kk.RespToInit); err != nil {
+	if _, err := p.AddTunnel(kk.SPIInitToResp, kk.SPIRespToInit, kk.InitToResp, kk.RespToInit); err != nil {
 		return campRow{}, err
 	}
 
 	var vt time.Duration
 	exchangeSeed := cfg.Seed + 300
 	o, err := rekey.New(rekey.Config{
-		A: A, B: B,
+		A: p.Sender(), B: p.Receiver(),
 		Grace:       time.Hour,
 		MaxAttempts: maxAttempts,
 		Clock:       func() time.Duration { vt += 10 * time.Microsecond; return vt },
@@ -484,26 +375,8 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 				return ike.ChildKeys{}, fmt.Errorf("exchange messages eaten by the adversary")
 			}
 			exchangeSeed++
-			ini, err := ike.NewRekeyInitiator(campIKE(exchangeSeed, "gw-a"), oldAB, oldBA)
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			rsp, err := ike.NewRekeyResponder(campIKE(exchangeSeed+1000, "gw-b"), oldAB, oldBA)
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			m1, err := ini.Request()
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			m2, err := rsp.HandleRequest(m1)
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			if err := ini.HandleResponse(m2); err != nil {
-				return ike.ChildKeys{}, err
-			}
-			return ini.ChildKeys(), nil
+			res, err := ike.RekeyChild(campIKE(exchangeSeed, "gw-a"), campIKE(exchangeSeed+1000, "gw-b"), oldAB, oldBA)
+			return res.Keys, err
 		},
 	})
 	if err != nil {
@@ -513,6 +386,13 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 		return campRow{}, err
 	}
 
+	payload := make([]byte, 280)
+	sent := 0
+	send := func() error {
+		sent++
+		_, err := p.Send(0, payload)
+		return err
+	}
 	// Phase 1: traffic past the soft lifetime, then the attack window
 	// opens and the rollover fights through the suppression.
 	for i := 0; i < cfg.Packets; i++ {
@@ -535,18 +415,22 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 		}
 	}
 	cut.Deactivate()
-	for _, w := range history {
-		open(w)
+	if err := p.ReplayAll(nil); err != nil {
+		return campRow{}, err
 	}
 
 	st := o.Stats()
 	cs := cut.Stats()
-	row.defense = fmt.Sprintf("MaxAttempts=%d", maxAttempts)
-	row.abandoned = st.Abandoned
-	row.rollovers = st.Rollovers
-	row.cost = fmt.Sprintf("suppressed %d, abandoned %d, blackout %d",
-		cs.Suppressed, st.Abandoned, cs.BlackoutDrops)
-	return row, nil
+	return campRow{
+		defense:   fmt.Sprintf("MaxAttempts=%d", maxAttempts),
+		sent:      sent,
+		delivered: int(p.Delivered.Load()),
+		cost: fmt.Sprintf("suppressed %d, abandoned %d, blackout %d",
+			cs.Suppressed, st.Abandoned, cs.BlackoutDrops),
+		replays:   p.replays,
+		abandoned: st.Abandoned,
+		rollovers: st.Rollovers,
+	}, p.Check()
 }
 
 // floodRow prices the failover-blackout replay flood against SAVE
@@ -556,165 +440,86 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 // acceptances even then; the k knob prices the wake window's
 // false-reject bill (bounded by leap + replication lag).
 func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
-	dir, err := os.MkdirTemp("", "campaign-flood-*")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer os.RemoveAll(dir)
-	openJ := func(name string) (*store.Lanes, error) {
-		return store.OpenLanes(filepath.Join(dir, name), store.LanesCount(1), store.LanesWithoutSync())
-	}
-	jA, err := openJ("peer")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer jA.Close()
-	j1, err := openJ("node1")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer j1.Close()
-	j2, err := openJ("node2")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer j2.Close()
-
-	A, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jA, K: k, W: 64})
-	if err != nil {
-		return campRow{}, err
-	}
-	defer A.Close()
-	B1, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: j1, K: k, W: 64})
-	if err != nil {
-		return campRow{}, err
-	}
-	defer B1.Close()
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 400))
-	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-	rng.Read(keys.AuthKey)
-	addrA := netip.AddrFrom4([4]byte{10, 2, 0, 1})
-	addrB := netip.AddrFrom4([4]byte{10, 2, 0, 2})
-	const ab = uint32(0xC100)
-	sel := ipsec.Selector{Src: netip.PrefixFrom(addrA, 32), Dst: netip.PrefixFrom(addrB, 32)}
-	if _, err := A.AddOutbound(ab, keys, sel); err != nil {
-		return campRow{}, err
-	}
-	if _, err := B1.AddInbound(ab, keys); err != nil {
-		return campRow{}, err
-	}
-
 	var (
-		row       campRow
-		seen      = make(map[string]bool)
-		history   [][]byte
-		cur       = B1
+		p         *GatewayPair
 		buffering bool
 		pending   [][]byte
 	)
-	open := func(w []byte) {
-		for tries := 0; ; tries++ {
-			_, v, err := cur.Open(w)
-			if err != nil {
-				return
-			}
-			if v == core.VerdictHorizon && tries < 10000 {
-				time.Sleep(10 * time.Microsecond)
-				continue
-			}
-			if v.Delivered() {
-				if seen[string(w)] {
-					row.replays++
-				} else {
-					seen[string(w)] = true
-					row.delivered++
-				}
-			}
-			return
-		}
-	}
-	link := &campLink{deliver: func(p []byte) {
+	gate, path := gatedPath(func(w []byte) {
 		if buffering {
-			pending = append(pending, p)
+			pending = append(pending, w)
 			return
 		}
-		open(p)
-	}}
-	gate := wire.NewGateLink(link)
+		p.Open(w) //nolint:errcheck // rejections are the campaign's effect
+	})
 	flood := adversary.NewBlackoutFlood(adversary.BlackoutFloodConfig{MaxBurst: 256})
 	if err := flood.Arm(adversary.Hooks{Gate: gate}); err != nil {
 		return campRow{}, err
 	}
-
-	sb, err := cluster.NewStandby(cluster.Config{
-		Source: j1, Journal: j2, K: k,
+	p, err := NewGatewayPair(PairSetup{
+		Scenario: fmt.Sprintf("blackout_flood K=%d", k), Seed: cfg.Seed,
+		K: k, W: 64, Options: []store.LanesOption{store.LanesWithoutSync()},
 		// The campaign's hook point: the flood fires inside the takeover
 		// wake window, between the epoch fence and the wake itself.
 		OnPromote: func(epoch uint64) { flood.OnTakeover(epoch) },
+		Path:      path,
 	})
 	if err != nil {
 		return campRow{}, err
 	}
-	defer sb.Stop()
-	if err := sb.Start(); err != nil {
+	defer p.Close()
+	if _, err := p.AddTunnel(0xC100, 0, ipsec.KeyMaterial{}, ipsec.KeyMaterial{}); err != nil {
 		return campRow{}, err
 	}
-	if err := sb.Mirror(B1.Snapshot()); err != nil {
+	if err := p.StartStandby(); err != nil {
 		return campRow{}, err
 	}
 
 	payload := make([]byte, 120)
-	send := func() error {
-		for tries := 0; ; tries++ {
-			w, err := A.Seal(addrA, addrB, payload)
-			if err == nil {
-				row.sent++
-				history = append(history, w)
-				return gate.Send(w)
-			}
-			if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
+	sent := 0
+	phase := func() error {
+		for i := 0; i < cfg.Packets; i++ {
+			sent++
+			if _, err := p.Send(0, payload); err != nil {
 				return err
 			}
-			time.Sleep(10 * time.Microsecond)
 		}
+		return nil
 	}
 
 	// Phase 1: recorded traffic through the primary.
-	for i := 0; i < cfg.Packets; i++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
-	}
-
-	// Crash; the flood arms and fires inside the promotion wake window.
-	flood.Activate()
-	B1.ResetAll()
-	buffering = true
-	gw2, _, err := sb.Takeover()
-	if err != nil {
+	if err := phase(); err != nil {
 		return campRow{}, err
 	}
-	cur = gw2
-	buffering = false
-	for _, p := range pending {
-		open(p) // the flood lands as the promoted node comes up
+
+	// Crash; the flood arms and fires inside the promotion wake window,
+	// and lands as the promoted node comes up.
+	flood.Activate()
+	p.Crash()
+	buffering = true
+	if _, err := p.Takeover(); err != nil {
+		return campRow{}, err
 	}
-	pending = nil
+	buffering = false
+	for _, w := range pending {
+		p.Open(w) //nolint:errcheck // rejections are the campaign's effect
+	}
 	flood.Deactivate()
 
 	// Phase 2: fresh traffic pays the wake window's false-reject bill.
-	for i := 0; i < cfg.Packets; i++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
+	if err := phase(); err != nil {
+		return campRow{}, err
 	}
-	for _, w := range history {
-		open(w)
+	if err := p.ReplayAll(nil); err != nil {
+		return campRow{}, err
 	}
 
 	st := flood.Stats()
-	row.defense = fmt.Sprintf("K=%d", k)
-	row.cost = fmt.Sprintf("recorded %d, flooded %d", st.Recorded, st.Flooded)
-	return row, nil
+	return campRow{
+		defense:   fmt.Sprintf("K=%d", k),
+		sent:      sent,
+		delivered: int(p.Delivered.Load()),
+		cost:      fmt.Sprintf("recorded %d, flooded %d", st.Recorded, st.Flooded),
+		replays:   p.replays,
+	}, p.Check()
 }

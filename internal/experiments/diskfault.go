@@ -3,16 +3,10 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"net/netip"
-	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"syscall"
-	"time"
 
-	"antireplay/internal/cluster"
-	"antireplay/internal/core"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/store"
 	"antireplay/internal/storefault"
@@ -129,9 +123,6 @@ func diskfaultTable(cfg DiskfaultConfig, only string) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: diskfault %s: %w", spec.campaign, err)
 		}
-		if row.replays != 0 {
-			return nil, fmt.Errorf("experiments: diskfault %s: %d replay acceptances", spec.campaign, row.replays)
-		}
 		if !row.healthyOK {
 			return nil, fmt.Errorf("experiments: diskfault %s: an SA on a healthy lane lost throughput", spec.campaign)
 		}
@@ -148,182 +139,51 @@ func diskfaultTable(cfg DiskfaultConfig, only string) (*Table, error) {
 	return t, nil
 }
 
-// diskPair is a sender gateway (clean medium) facing a victim gateway
-// whose laned medium sits on a fault injector, with exactly-once delivery
-// accounting and per-SA bookkeeping.
-type diskPair struct {
-	dir   string
-	in    *storefault.Injector
-	lanes *store.Lanes
-	a, b  *ipsec.Gateway
-	spis  []uint32 // one inbound SA per entry, spis[i] on lane laneOf[i]
-	lane  []int    // laneOf[i]: the victim lane hosting spis[i]
-	src   []netip.Addr
-	dst   netip.Addr
-
-	poisonMu sync.Mutex
-	poisoned []int // lanes reported by the LanesOnPoison hook, in order
-
-	history [][]byte
-	seen    map[string]bool
-	replays int
-}
-
-// newDiskPair builds the pair over laneCount victim lanes and registers
-// SAs lane by lane until each lane in want hosts perLane of them (probing
-// SPIs through the lane hash). Extra lane options apply to the victim.
-func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, opts ...store.LanesOption) (*diskPair, error) {
-	dir, err := os.MkdirTemp("", "diskfault-*")
+// newDiskPair builds one campaign's gateway pair: the receiver's
+// laneCount lanes sit on in, and SAs are added lane by lane until each
+// lane hosts perLane of them (probing SPIs through the lane hash), so the
+// traffic exercises each fault domain and "every other lane at full
+// throughput" is a claim about all of them. It returns each SA's lane and
+// a count of the lanes the poison hook reported. opts apply to every node.
+func newDiskPair(cfg DiskfaultConfig, scenario string, in *storefault.Injector, laneCount, perLane int,
+	opts ...store.LanesOption) (*GatewayPair, []int, *atomic.Int32, error) {
+	poisoned := new(atomic.Int32)
+	p, err := NewGatewayPair(PairSetup{
+		Scenario: "diskfault " + scenario, Seed: cfg.Seed, K: diskfaultK, W: 64, Lanes: laneCount,
+		Options: opts,
+		ReceiverOptions: []store.LanesOption{
+			store.LanesWithFS(in),
+			store.LanesOnPoison(func(int, error) { poisoned.Add(1) }),
+		},
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	p := &diskPair{dir: dir, in: storefault.NewInjector(nil), seen: make(map[string]bool)}
-	fail := func(err error) (*diskPair, error) {
-		p.close()
-		return nil, err
-	}
-
-	lopts := append([]store.LanesOption{
-		store.LanesCount(laneCount),
-		store.LanesWithFS(p.in),
-		store.LanesOnPoison(func(lane int, err error) {
-			p.poisonMu.Lock()
-			p.poisoned = append(p.poisoned, lane)
-			p.poisonMu.Unlock()
-		}),
-	}, opts...)
-	lanes, err := store.OpenLanes(filepath.Join(dir, "victim"), lopts...)
-	if err != nil {
-		return fail(err)
-	}
-	p.lanes = lanes
-	b, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: lanes, K: diskfaultK, W: 64})
-	if err != nil {
-		return fail(err)
-	}
-	p.b = b
-
-	jA, err := store.OpenLanes(filepath.Join(dir, "sender"), store.LanesCount(1), store.LanesWithoutSync())
-	if err != nil {
-		return fail(err)
-	}
-	a, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jA, K: diskfaultK, W: 64})
-	if err != nil {
-		jA.Close()
-		return fail(err)
-	}
-	p.a = a
-
-	// Probe SPIs through the victim's lane hash until every lane hosts
-	// perLane SAs: the traffic then exercises each fault domain, and
-	// "every other lane at full throughput" is a claim about all of them.
-	rng := rand.New(rand.NewSource(cfg.Seed + 500))
-	p.dst = netip.AddrFrom4([4]byte{10, 9, 0, 1})
+	var lanes []int
 	fill := make([]int, laneCount)
-	for spi := uint32(0xD100_0000); ; spi++ {
-		lane := lanes.Cell(ipsec.InboundKey(spi)).Lane()
+	for spi, full := uint32(0xD100_0000), 0; full < laneCount; spi++ {
+		lane := p.Receiver().Journal().Cell(ipsec.InboundKey(spi)).Lane()
 		if fill[lane] >= perLane {
 			continue
 		}
-		fill[lane]++
-		keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-		rng.Read(keys.AuthKey)
-		i := len(p.spis)
-		src := netip.AddrFrom4([4]byte{10, 3, byte(i >> 8), byte(i)})
-		sel := ipsec.Selector{Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(p.dst, 32)}
-		if _, err := a.AddOutbound(spi, keys, sel); err != nil {
-			return fail(err)
+		if _, err := p.AddTunnel(spi, 0, ipsec.KeyMaterial{}, ipsec.KeyMaterial{}); err != nil {
+			p.Close()
+			return nil, nil, nil, err
 		}
-		if _, err := b.AddInbound(spi, keys); err != nil {
-			return fail(err)
-		}
-		p.spis = append(p.spis, spi)
-		p.lane = append(p.lane, lane)
-		p.src = append(p.src, src)
-		done := true
-		for _, n := range fill {
-			if n < perLane {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
+		lanes = append(lanes, lane)
+		if fill[lane]++; fill[lane] == perLane {
+			full++
 		}
 	}
-	return p, nil
+	return p, lanes, poisoned, nil
 }
 
-func (p *diskPair) close() {
-	if p.a != nil {
-		p.a.Close()
-		p.a.Journal().Close()
-	}
-	if p.b != nil {
-		p.b.Close()
-	}
-	if p.lanes != nil {
-		p.lanes.Close()
-	}
-	os.RemoveAll(p.dir)
-}
-
-// seal seals one payload for SA i, riding out transient save lag.
-func (p *diskPair) seal(i int, payload []byte) ([]byte, error) {
-	for tries := 0; ; tries++ {
-		w, err := p.a.Seal(p.src[i], p.dst, payload)
-		if err == nil {
-			p.history = append(p.history, w)
-			return w, nil
-		}
-		if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
-			return nil, err
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-}
-
-// open opens one wire at the victim for SA i. A horizon stall on a
-// quarantined lane is permanent until repair, so it is counted (false) at
-// once; on a healthy lane it is transient save lag and retried.
-func (p *diskPair) open(i int, w []byte) (bool, error) {
-	for tries := 0; ; tries++ {
-		_, v, err := p.b.Open(w)
-		if err != nil {
-			return false, err
-		}
-		if v == core.VerdictHorizon {
-			if p.lanes.LaneJournals()[p.lane[i]].Poisoned() != nil {
-				return false, nil // quarantined: stalled at the durable horizon
-			}
-			if tries > 10000 {
-				return false, fmt.Errorf("diskfault: SA %#x horizon-stalled on a healthy lane", p.spis[i])
-			}
-			time.Sleep(10 * time.Microsecond)
-			continue
-		}
-		if !v.Delivered() {
-			return false, nil
-		}
-		if p.seen[string(w)] {
-			p.replays++
-			return false, nil
-		}
-		p.seen[string(w)] = true
-		return true, nil
-	}
-}
-
-// phase sends n packets on every SA, returning per-SA delivery counts.
-func (p *diskPair) phase(n int, payload func(i, k int) []byte) ([]int, error) {
-	got := make([]int, len(p.spis))
+// diskPhase sends n packets on every SA, returning per-SA first deliveries.
+func diskPhase(p *GatewayPair, sas, n int, tag string) ([]int, error) {
+	got := make([]int, sas)
 	for k := 0; k < n; k++ {
-		for i := range p.spis {
-			w, err := p.seal(i, payload(i, k))
-			if err != nil {
-				return nil, err
-			}
-			ok, err := p.open(i, w)
+		for i := range got {
+			ok, err := p.Send(i, []byte(fmt.Sprintf("%s-%03d-%06d", tag, i, k)))
 			if err != nil {
 				return nil, err
 			}
@@ -335,52 +195,10 @@ func (p *diskPair) phase(n int, payload func(i, k int) []byte) ([]int, error) {
 	return got, nil
 }
 
-// replayAll re-injects the full wiretap history; the seen map turns any
-// second delivery into a replay count. Quarantined-lane stalls answer
-// VerdictHorizon immediately, so no retry loop is needed.
-func (p *diskPair) replayAll() {
-	for _, w := range p.history {
-		_, v, err := p.b.Open(w)
-		if err != nil || !v.Delivered() {
-			continue
-		}
-		if p.seen[string(w)] {
-			p.replays++
-		} else {
-			p.seen[string(w)] = true
-		}
-	}
-}
-
-// committedFloor snapshots every inbound SA's durable counter.
-func (p *diskPair) committedFloor() []uint64 {
-	floors := make([]uint64, len(p.spis))
-	for i, spi := range p.spis {
-		if sa, ok := p.b.SAD().Lookup(spi); ok {
-			floors[i] = sa.Receiver().Committed()
-		}
-	}
-	return floors
-}
-
-// checkCommitted asserts no SA's durable counter regressed below floor.
-func (p *diskPair) checkCommitted(floors []uint64) error {
-	for i, spi := range p.spis {
-		sa, ok := p.b.SAD().Lookup(spi)
-		if !ok {
-			return fmt.Errorf("diskfault: SA %#x vanished", spi)
-		}
-		if got := sa.Receiver().Committed(); got < floors[i] {
-			return fmt.Errorf("diskfault: SA %#x durable counter regressed %d -> %d", spi, floors[i], got)
-		}
-	}
-	return nil
-}
-
 // laneFile is the substring an injected fault uses to target one lane of
-// the victim's medium: the base name of that lane's log.
-func (p *diskPair) laneFile(lane int) string {
-	return filepath.Base(p.lanes.LaneJournals()[lane].Path())
+// the receiver's medium: the base name of that lane's log.
+func laneFile(p *GatewayPair, lane int) string {
+	return filepath.Base(p.Receiver().Journal().LaneJournals()[lane].Path())
 }
 
 // fsyncStormRow quarantines several lanes at once: every fsync on lanes 0
@@ -390,25 +208,24 @@ func (p *diskPair) laneFile(lane int) string {
 // must still deliver nothing twice.
 func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 	const stormLanes = 8
-	p, err := newDiskPair(cfg, stormLanes, 2)
+	in := storefault.NewInjector(nil)
+	p, lanes, poisoned, err := newDiskPair(cfg, "fsync_storm", in, stormLanes, 2)
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p.close()
+	defer p.Close()
 
-	payload := func(i, k int) []byte { return []byte(fmt.Sprintf("storm-%02d-%06d", i, k)) }
-	if _, err := p.phase(cfg.Packets, payload); err != nil {
+	if _, err := diskPhase(p, len(lanes), cfg.Packets, "storm"); err != nil {
 		return diskRow{}, err
 	}
-	floors := p.committedFloor()
+	p.checkpoint()
 
 	faulted := []int{0, 1}
-	p.in.Arm(
-		storefault.Fault{Op: storefault.OpSync, Path: p.laneFile(0), Err: syscall.EIO},
-		storefault.Fault{Op: storefault.OpSync, Path: p.laneFile(1), Err: syscall.EIO},
+	in.Arm(
+		storefault.Fault{Op: storefault.OpSync, Path: laneFile(p, 0), Err: syscall.EIO},
+		storefault.Fault{Op: storefault.OpSync, Path: laneFile(p, 1), Err: syscall.EIO},
 	)
-	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("storm2-%02d-%06d", i, k)) }
-	got, err := p.phase(cfg.Packets, payload2)
+	got, err := diskPhase(p, len(lanes), cfg.Packets, "storm2")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -416,15 +233,15 @@ func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 	row := diskRow{
 		fault: "fsync EIO forever on 2 lanes",
 		lanes: stormLanes,
-		sent:  2 * cfg.Packets * len(p.spis),
+		sent:  2 * cfg.Packets * len(lanes),
 	}
 	isFaulted := func(lane int) bool { return lane == faulted[0] || lane == faulted[1] }
 	row.healthyOK = true
 	stalledSAs := 0
-	for i, lane := range p.lane {
+	for i, lane := range lanes {
 		if isFaulted(lane) {
 			if got[i] >= cfg.Packets {
-				return diskRow{}, fmt.Errorf("SA %#x on quarantined lane %d never stalled", p.spis[i], lane)
+				return diskRow{}, fmt.Errorf("SA %d on quarantined lane %d never stalled", i, lane)
 			}
 			stalledSAs++
 			row.stalled += cfg.Packets - got[i]
@@ -432,26 +249,25 @@ func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 			row.healthyOK = false
 		}
 	}
-	if q := p.lanes.Quarantined(); len(q) != 2 || !isFaulted(q[0]) || !isFaulted(q[1]) {
+	if q := p.Receiver().Journal().Quarantined(); len(q) != 2 || !isFaulted(q[0]) || !isFaulted(q[1]) {
 		return diskRow{}, fmt.Errorf("quarantined lanes %v, want %v", q, faulted)
 	}
-	if d := p.b.Degraded(); len(d) != 2 {
+	if d := p.Receiver().Degraded(); len(d) != 2 {
 		return diskRow{}, fmt.Errorf("gateway degraded %v, want both faulted lanes", d)
 	}
-	p.poisonMu.Lock()
-	hooks := len(p.poisoned)
-	p.poisonMu.Unlock()
-	if hooks != 2 {
-		return diskRow{}, fmt.Errorf("poison hook fired %d times, want 2", hooks)
+	if n := poisoned.Load(); n != 2 {
+		return diskRow{}, fmt.Errorf("poison hook fired %d times, want 2", n)
 	}
-	if err := p.checkCommitted(floors); err != nil {
+	if err := p.ReplayAll(nil); err != nil {
 		return diskRow{}, err
 	}
-	p.replayAll()
+	if err := p.Check(); err != nil {
+		return diskRow{}, err
+	}
 	row.quarantined = 2
-	row.delivered = len(p.seen)
+	row.delivered = int(p.Delivered.Load())
 	row.replays = p.replays
-	row.detail = fmt.Sprintf("%d SAs stalled at horizon, %d faults fired", stalledSAs, p.in.Fired())
+	row.detail = fmt.Sprintf("%d SAs stalled at horizon, %d faults fired", stalledSAs, in.Fired())
 	return row, nil
 }
 
@@ -462,32 +278,28 @@ func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 // delivered and no temp file strands.
 func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 	const compactLanes = 4
-	p, err := newDiskPair(cfg, compactLanes, 2,
+	in := storefault.NewInjector(nil)
+	p, lanes, _, err := newDiskPair(cfg, "enospc_compact", in, compactLanes, 2,
 		store.LanesWithoutSync(), store.LanesCompactAt(256))
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p.close()
+	defer p.Close()
 
 	// Phase 1 under compaction ENOSPC: the temp write fails, the old log
 	// stays authoritative, and the crossing is retried until the fault
 	// budget runs out.
-	p.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: ".compact", Count: 2, Err: syscall.ENOSPC})
+	in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: ".compact", Count: 2, Err: syscall.ENOSPC})
 	n := 4 * cfg.Packets // enough appends to cross the 256 B threshold repeatedly
-	payload := func(i, k int) []byte { return []byte(fmt.Sprintf("enospc-%02d-%06d", i, k)) }
-	got, err := p.phase(n, payload)
+	got, err := diskPhase(p, len(lanes), n, "enospc")
 	if err != nil {
 		return diskRow{}, err
 	}
-	compactFired := p.in.Fired()
+	compactFired := in.Fired()
 	if compactFired < 2 {
 		return diskRow{}, fmt.Errorf("compaction ENOSPC fired %d times, want 2 (threshold never crossed?)", compactFired)
 	}
-
-	var compactions uint64
-	for _, j := range p.lanes.LaneJournals() {
-		compactions += j.Compactions()
-	}
+	compactions := p.Receiver().Journal().Compactions()
 	if compactions == 0 {
 		return diskRow{}, errors.New("compaction never succeeded after the transient ENOSPC")
 	}
@@ -499,14 +311,14 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 	// poisons, no waiter sees an error. (On the first pair the fault
 	// could land on a threshold compaction's own temp write instead,
 	// which is the already-priced phase-1 shape.)
-	p2, err := newDiskPair(cfg, compactLanes, 2, store.LanesWithoutSync())
+	in2 := storefault.NewInjector(nil)
+	p2, _, _, err := newDiskPair(cfg, "enospc_compact rescue", in2, compactLanes, 2, store.LanesWithoutSync())
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p2.close()
-	p2.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: p2.laneFile(0), Count: 1, Err: syscall.ENOSPC})
-	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("enospc2-%02d-%06d", i, k)) }
-	got2, err := p2.phase(n, payload2)
+	defer p2.Close()
+	in2.Arm(storefault.Fault{Op: storefault.OpWrite, Path: laneFile(p2, 0), Count: 1, Err: syscall.ENOSPC})
+	got2, err := diskPhase(p2, len(lanes), n, "enospc2")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -514,42 +326,46 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 	row := diskRow{
 		fault:     "ENOSPC x2 at compact temp, x1 at lane write",
 		lanes:     compactLanes,
-		sent:      2 * n * len(p.spis),
+		sent:      2 * n * len(lanes),
 		healthyOK: true,
 	}
-	for i := range p.spis {
+	for i := range lanes {
 		if got[i] != n || got2[i] != n {
 			row.healthyOK = false
 		}
 	}
-	if q := p.lanes.Quarantined(); len(q) != 0 {
+	if q := p.Receiver().Journal().Quarantined(); len(q) != 0 {
 		return diskRow{}, fmt.Errorf("transient ENOSPC quarantined lanes %v, want none", q)
 	}
-	if q := p2.lanes.Quarantined(); len(q) != 0 {
+	if q := p2.Receiver().Journal().Quarantined(); len(q) != 0 {
 		return diskRow{}, fmt.Errorf("rescued ENOSPC quarantined lanes %v, want none", q)
 	}
 	var rescues uint64
-	for _, j := range p2.lanes.LaneJournals() {
+	for _, j := range p2.Receiver().Journal().LaneJournals() {
 		rescues += j.Rescues()
 	}
 	if rescues == 0 {
 		return diskRow{}, errors.New("lane-write ENOSPC was never rescued by compaction")
 	}
-	for _, dir := range []string{filepath.Join(p.dir, "victim"), filepath.Join(p2.dir, "victim")} {
-		strays, err := filepath.Glob(filepath.Join(dir, "*.compact*"))
+	for _, q := range []*GatewayPair{p, p2} {
+		strays, err := filepath.Glob(filepath.Join(q.Receiver().Journal().Path(), "*.compact*"))
 		if err != nil {
 			return diskRow{}, err
 		}
 		if len(strays) != 0 {
 			return diskRow{}, fmt.Errorf("stranded compaction temps: %v", strays)
 		}
+		if err := q.ReplayAll(nil); err != nil {
+			return diskRow{}, err
+		}
+		if err := q.Check(); err != nil {
+			return diskRow{}, err
+		}
 	}
-	p.replayAll()
-	p2.replayAll()
-	row.delivered = len(p.seen) + len(p2.seen)
+	row.delivered = int(p.Delivered.Load() + p2.Delivered.Load())
 	row.replays = p.replays + p2.replays
 	row.detail = fmt.Sprintf("%d faults fired, %d rescues, %d compactions, 0 stray temps",
-		compactFired+p2.in.Fired(), rescues, compactions)
+		compactFired+in2.Fired(), rescues, compactions)
 	return row, nil
 }
 
@@ -560,49 +376,31 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 // (injector disarmed), the lane is repaired from the standby's replica,
 // the SAs are woken, and traffic on the dead lane resumes.
 func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
-	p, err := newDiskPair(cfg, cfg.Lanes, 1, store.LanesWithoutSync())
+	in := storefault.NewInjector(nil)
+	p, lanes, _, err := newDiskPair(cfg, "single_lane_eio", in, cfg.Lanes, 1, store.LanesWithoutSync())
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p.close()
-
-	sjPath := filepath.Join(p.dir, "standby")
-	sj, err := store.OpenLanes(sjPath, store.LanesCount(cfg.Lanes), store.LanesWithoutSync())
-	if err != nil {
-		return diskRow{}, err
-	}
-	defer sj.Close()
-	sb, err := cluster.NewStandby(cluster.Config{
-		Source: p.lanes, Journal: sj, K: diskfaultK, W: 64,
-	})
-	if err != nil {
-		return diskRow{}, err
-	}
-	if err := sb.Start(); err != nil {
-		return diskRow{}, err
-	}
-	defer sb.Stop()
-	if err := sb.Mirror(p.b.Snapshot()); err != nil {
+	defer p.Close()
+	if err := p.StartStandby(); err != nil {
 		return diskRow{}, err
 	}
 
-	payload := func(i, k int) []byte { return []byte(fmt.Sprintf("eio-%03d-%06d", i, k)) }
-	got1, err := p.phase(cfg.Packets, payload)
+	got1, err := diskPhase(p, len(lanes), cfg.Packets, "eio")
 	if err != nil {
 		return diskRow{}, err
 	}
 	for i, g := range got1 {
 		if g != cfg.Packets {
-			return diskRow{}, fmt.Errorf("pre-fault SA %#x delivered %d/%d", p.spis[i], g, cfg.Packets)
+			return diskRow{}, fmt.Errorf("pre-fault SA %d delivered %d/%d", i, g, cfg.Packets)
 		}
 	}
-	floors := p.committedFloor()
+	p.checkpoint()
 
 	// Kill the last lane's disk: every write EIO, forever.
 	dead := cfg.Lanes - 1
-	p.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: p.laneFile(dead), Err: syscall.EIO})
-	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("eio2-%03d-%06d", i, k)) }
-	got2, err := p.phase(cfg.Packets, payload2)
+	in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: laneFile(p, dead), Err: syscall.EIO})
+	got2, err := diskPhase(p, len(lanes), cfg.Packets, "eio2")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -613,54 +411,50 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 		quarantined: 1,
 		healthyOK:   true,
 	}
-	for i, lane := range p.lane {
+	for i, lane := range lanes {
 		if lane == dead {
 			if got2[i] >= cfg.Packets {
-				return diskRow{}, fmt.Errorf("SA %#x on dead lane %d never stalled", p.spis[i], dead)
+				return diskRow{}, fmt.Errorf("SA %d on dead lane %d never stalled", i, dead)
 			}
 			row.stalled += cfg.Packets - got2[i]
 		} else if got2[i] != cfg.Packets {
 			row.healthyOK = false
 		}
 	}
-	if q := p.lanes.Quarantined(); len(q) != 1 || q[0] != dead {
+	if q := p.Receiver().Journal().Quarantined(); len(q) != 1 || q[0] != dead {
 		return diskRow{}, fmt.Errorf("quarantined lanes %v, want [%d]", q, dead)
 	}
-	if d := p.b.Degraded(); len(d) != 1 || d[0] != dead {
+	if d := p.Receiver().Degraded(); len(d) != 1 || d[0] != dead {
 		return diskRow{}, fmt.Errorf("gateway degraded %v, want [%d]", d, dead)
 	}
 
 	// Replace the disk and repair the lane from the standby's replica,
 	// then wake the population (FETCH + 2K leap + SAVE) so the stalled
 	// SA's horizon unfreezes.
-	p.in.Disarm()
-	if err := sb.RepairSourceLane(dead); err != nil {
+	in.Disarm()
+	if err := p.Standby().RepairSourceLane(dead); err != nil {
 		return diskRow{}, fmt.Errorf("standby lane repair: %w", err)
 	}
-	if q := p.lanes.Quarantined(); len(q) != 0 {
+	if q := p.Receiver().Journal().Quarantined(); len(q) != 0 {
 		return diskRow{}, fmt.Errorf("lanes still quarantined after repair: %v", q)
 	}
-	if err := p.b.WakeAll(); err != nil {
+	if err := p.Wake(); err != nil {
 		return diskRow{}, fmt.Errorf("post-repair wake: %w", err)
-	}
-	if err := p.checkCommitted(floors); err != nil {
-		return diskRow{}, err
 	}
 
 	// Phase 3: the wake leap sacrifices at most 2K fresh packets per SA
 	// (the paper's bounded wake bill); past that, every lane — the
 	// repaired one included — must deliver again.
-	payload3 := func(i, k int) []byte { return []byte(fmt.Sprintf("eio3-%03d-%06d", i, k)) }
-	got3, err := p.phase(cfg.Packets, payload3)
+	got3, err := diskPhase(p, len(lanes), cfg.Packets, "eio3")
 	if err != nil {
 		return diskRow{}, err
 	}
 	wakeBill := 2 * int(diskfaultK)
 	resumed := 0
-	for i, lane := range p.lane {
+	for i, lane := range lanes {
 		if got3[i] < cfg.Packets-wakeBill-1 {
-			return diskRow{}, fmt.Errorf("post-repair SA %#x (lane %d) delivered %d/%d, want >= %d",
-				p.spis[i], lane, got3[i], cfg.Packets, cfg.Packets-wakeBill-1)
+			return diskRow{}, fmt.Errorf("post-repair SA %d (lane %d) delivered %d/%d, want >= %d",
+				i, lane, got3[i], cfg.Packets, cfg.Packets-wakeBill-1)
 		}
 		if lane == dead {
 			resumed = got3[i]
@@ -670,15 +464,20 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 		}
 	}
 	var repairs uint64
-	for _, j := range p.lanes.LaneJournals() {
+	for _, j := range p.Receiver().Journal().LaneJournals() {
 		repairs += j.Repairs()
 	}
 	if repairs != 1 {
 		return diskRow{}, fmt.Errorf("repairs counter %d, want 1", repairs)
 	}
-	p.replayAll()
-	row.sent = 3 * cfg.Packets * len(p.spis)
-	row.delivered = len(p.seen)
+	if err := p.ReplayAll(nil); err != nil {
+		return diskRow{}, err
+	}
+	if err := p.Check(); err != nil {
+		return diskRow{}, err
+	}
+	row.sent = 3 * cfg.Packets * len(lanes)
+	row.delivered = int(p.Delivered.Load())
 	row.replays = p.replays
 	row.detail = fmt.Sprintf("repaired lane %d from standby, SA resumed %d pkts", dead, resumed)
 	return row, nil

@@ -1,11 +1,19 @@
 // Package experiments regenerates every figure and table of the paper's
 // analysis, plus extension experiments beyond the paper (E1–E13).
 //
-// Each experiment is a pure function from a parameter struct (with a
-// Default* constructor) to a *Table; all randomness is seeded, so runs are
-// reproducible bit-for-bit. The cmd/benchtables binary and the root
-// bench_test.go both call these functions; each Table.Note records the
-// expected shapes next to paper claims.
+// Each experiment is a function from a parameter struct (with a Default*
+// constructor) to a *Table, and all randomness is seeded. Tables driven by
+// the simulation clock over synchronous in-memory stores are seed-exact:
+// the paper's figures (fig1, fig2 and the other netsim tables) and the
+// campaigns rows window_edge and save_storm; TestSeedExactTables pins
+// them. The gateway-backed rows (failover, rekey, the rekey_cutover and
+// blackout_flood campaigns, diskfault) run saver pools, lane committers
+// and replication on goroutines that race the clock, so their counts vary
+// with scheduling, within the bounds GatewayPair.Check enforces on every
+// run. Timing tables (sizing, overhead, recovery, gateway, datapath,
+// hotpath, scale, transport) measure the host. The cmd/benchtables binary
+// and the root bench_test.go both call these functions; each Table.Note
+// records the expected shapes next to paper claims.
 package experiments
 
 import (

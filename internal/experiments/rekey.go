@@ -1,21 +1,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"net/netip"
-	"os"
-	"path/filepath"
 	"time"
 
-	"antireplay/internal/core"
 	"antireplay/internal/ike"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/netsim"
 	"antireplay/internal/rekey"
 	"antireplay/internal/resetinj"
-	"antireplay/internal/store"
 )
 
 // RekeyConfig parameterizes the rekey-under-reset rollover experiment.
@@ -52,13 +46,14 @@ func DefaultRekeyConfig() RekeyConfig {
 	}
 }
 
-// gatewayEndpoint adapts a whole Gateway to the resetinj crash interface:
-// Reset crashes every SA's volatile counters at once (the machine reset of
-// the paper's §3 multi-SA scenario) and Wake runs the population recovery.
-type gatewayEndpoint struct{ gw *ipsec.Gateway }
+// receiverEndpoint adapts a pair's receiver gateway to the resetinj crash
+// interface: Reset crashes every SA's volatile counters at once (the
+// machine reset of the paper's §3 multi-SA scenario) and Wake runs the
+// population recovery, which opens the pair's wake window.
+type receiverEndpoint struct{ p *GatewayPair }
 
-func (ge gatewayEndpoint) Reset() { ge.gw.ResetAll() }
-func (ge gatewayEndpoint) Wake()  { ge.gw.WakeAll() } //nolint:errcheck // experiment wake errors surface as traffic failures
+func (r receiverEndpoint) Reset() { r.p.Crash() }
+func (r receiverEndpoint) Wake()  { r.p.Wake() } //nolint:errcheck // Check reports a failed wake
 
 // RekeyRollover demonstrates the make-before-break property end to end:
 // soft lifetimes trip IKE-driven rollovers on a gateway pair while the
@@ -99,48 +94,25 @@ func RekeyRollover(cfg RekeyConfig) (*Table, error) {
 	return t, nil
 }
 
-// rekeyRow accumulates one row's accounting.
-type rekeyRow struct {
-	attempts   int
-	delivered  int
-	sacrificed int
-	inflightOK int
-	falseRej   int
-	replays    int
-}
-
 func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
-	dir, err := os.MkdirTemp("", "rekey-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	const k = 25
-	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		j, err := store.OpenLanes(filepath.Join(dir, name), store.LanesCount(1))
-		if err != nil {
-			return nil, err
-		}
-		return ipsec.NewGateway(ipsec.GatewayConfig{
-			Journal: j, K: k, W: 64,
-			// Soft lifetime trips after roughly one phase of traffic.
-			Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.PacketsPerPhase) * 300 / 2},
-		})
-	}
-	A, err := mkGateway("a")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { A.Close(); A.Journal().Close() }()
-	B, err := mkGateway("b")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { B.Close(); B.Journal().Close() }()
-
 	e := netsim.NewEngine(cfg.Seed)
 	rng := e.Rand()
+	p, err := NewGatewayPair(PairSetup{
+		Scenario: fmt.Sprintf("rekey loss %.2f", loss), Seed: cfg.Seed, K: 25, W: 64,
+		// Soft lifetime trips after roughly one phase of traffic.
+		Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.PacketsPerPhase) * 300 / 2},
+		Path: func(w []byte) ([]byte, error) {
+			if rng.Float64() < loss/2 {
+				return nil, nil // data packet lost in the network
+			}
+			return w, nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	const k = 25
 	group := ike.Group14()
 	if cfg.FastDH {
 		group = ike.TestGroup()
@@ -153,63 +125,21 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 	}
 
 	var (
-		row      rekeyRow
-		history  [][]byte
-		seen     = make(map[string]bool) // wire -> delivered at least once
-		addrFor  = make(map[uint32]int)  // live A->B SPI -> tunnel index
-		inflight [][]byte
+		attempts   int
+		inflightOK int
+		falseRej   int
+		addrFor    = make(map[uint32]int) // live A->B SPI -> tunnel index
+		inflight   [][]byte
 	)
-	addr := func(i int, side byte) netip.Addr {
-		return netip.AddrFrom4([4]byte{10, side, byte(i >> 8), byte(i)})
-	}
-	sel := func(i int, rev bool) ipsec.Selector {
-		src, dst := addr(i, 0), addr(i, 1)
-		if rev {
-			src, dst = dst, src
-		}
-		return ipsec.Selector{Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(dst, 32)}
-	}
-
-	// seal seals one payload on tunnel i with save-lag retry.
-	seal := func(i int) ([]byte, error) {
-		for tries := 0; ; tries++ {
-			w, err := A.Seal(addr(i, 0), addr(i, 1), make([]byte, 280))
-			if err == nil {
-				history = append(history, w)
-				return w, nil
-			}
-			if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
-				return nil, err
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	// open delivers one wire at B with horizon retry, recording delivery.
-	open := func(w []byte) (core.Verdict, error) {
-		for tries := 0; ; tries++ {
-			_, verdict, err := B.Open(w)
-			if verdict != core.VerdictHorizon || tries > 10000 {
-				if err == nil && verdict.Delivered() {
-					seen[string(w)] = true
-				}
-				return verdict, err
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	// phase pushes packets-per-tunnel of traffic with data loss p/2 and
-	// light reordering (batch shuffle), counting deliveries.
+	// phase pushes packets-per-tunnel of traffic through the lossy path
+	// with light reordering (batch shuffle).
 	phase := func(packets int) error {
 		batch := make([][]byte, 0, 8)
 		flush := func() error {
 			rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
 			for _, w := range batch {
-				v, err := open(w)
-				if err != nil {
+				if _, err := p.Deliver(w); err != nil {
 					return err
-				}
-				if v.Delivered() {
-					row.delivered++
 				}
 			}
 			batch = batch[:0]
@@ -217,12 +147,9 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 		}
 		for n := 0; n < packets; n++ {
 			for i := 0; i < cfg.Tunnels; i++ {
-				w, err := seal(i)
+				w, err := p.Seal(i, make([]byte, 280))
 				if err != nil {
 					return err
-				}
-				if rng.Float64() < loss/2 {
-					continue // data packet lost in the network
 				}
 				batch = append(batch, w)
 				if len(batch) == cap(batch) {
@@ -237,7 +164,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	// Establish and track the tunnels.
 	o, err := rekey.New(rekey.Config{
-		A: A, B: B,
+		A: p.Sender(), B: p.Receiver(),
 		// Each exchange attempt advances the virtual clock 2ms; the grace
 		// window outlasts the worst-case retry budget, so no drained
 		// generation can retire while its in-flight packets are unchecked.
@@ -245,7 +172,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 		MaxAttempts: cfg.MaxAttempts,
 		Clock:       e.Now,
 		Exchange: func(oldAB, oldBA uint32) (ike.ChildKeys, error) {
-			row.attempts++
+			attempts++
 			ini, err := ike.NewRekeyInitiator(ikeCfg("gw-a"), oldAB, oldBA)
 			if err != nil {
 				return ike.ChildKeys{}, err
@@ -273,24 +200,21 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 			}
 			// This attempt will complete, so the cutover is imminent. First
 			// flush the receiver's post-reset sacrifice window on this
-			// tunnel (the paper's <= 2K cost), then leave InFlight packets
-			// in flight on the old SPI across the cutover.
+			// tunnel (the paper's <= 2K cost) over a lossless path, then
+			// leave InFlight packets in flight on the old SPI across the
+			// cutover.
 			ti := addrFor[oldAB]
 			for n := 0; n < 3*k; n++ {
-				w, err := seal(ti)
+				w, err := p.Seal(ti, make([]byte, 280))
 				if err != nil {
 					return ike.ChildKeys{}, err
 				}
-				if v, err := open(w); err != nil {
+				if _, err := p.Open(w); err != nil {
 					return ike.ChildKeys{}, err
-				} else if v.Delivered() {
-					row.delivered++
-				} else {
-					row.sacrificed++
 				}
 			}
 			for n := 0; n < cfg.InFlight; n++ {
-				w, err := seal(ti)
+				w, err := p.Seal(ti, make([]byte, 280))
 				if err != nil {
 					return ike.ChildKeys{}, err
 				}
@@ -313,16 +237,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 			return nil, err
 		}
 		kk := res.Keys
-		if _, err := A.AddOutbound(kk.SPIInitToResp, kk.InitToResp, sel(i, false)); err != nil {
-			return nil, err
-		}
-		if _, err := A.AddInbound(kk.SPIRespToInit, kk.RespToInit); err != nil {
-			return nil, err
-		}
-		if _, err := B.AddInbound(kk.SPIInitToResp, kk.InitToResp); err != nil {
-			return nil, err
-		}
-		if _, err := B.AddOutbound(kk.SPIRespToInit, kk.RespToInit, sel(i, true)); err != nil {
+		if _, err := p.AddTunnel(kk.SPIInitToResp, kk.SPIRespToInit, kk.InitToResp, kk.RespToInit); err != nil {
 			return nil, err
 		}
 		if tunnels[i], err = o.Track(kk.SPIInitToResp, kk.SPIRespToInit); err != nil {
@@ -341,7 +256,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	// Schedule the receiver crash to strike mid-exchange of the first
 	// rollover attempt, then poll until every tunnel has rolled over.
-	resetinj.Schedule(e, gatewayEndpoint{B}, e.Now()+500*time.Microsecond, e.Now()+time.Millisecond)
+	resetinj.Schedule(e, receiverEndpoint{p}, e.Now()+500*time.Microsecond, e.Now()+time.Millisecond)
 	for polls := 0; o.Stats().Rollovers < uint64(cfg.Tunnels); polls++ {
 		if polls > cfg.MaxAttempts*cfg.Tunnels {
 			return nil, fmt.Errorf("rollovers did not converge: %+v", o.Stats())
@@ -355,14 +270,14 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	// The in-flight old-SPI packets must all deliver during the drain.
 	for _, w := range inflight {
-		v, err := open(w)
+		ok, err := p.Open(w)
 		if err != nil {
 			return nil, fmt.Errorf("in-flight old-SPI packet: %w", err)
 		}
-		if v.Delivered() {
-			row.inflightOK++
+		if ok {
+			inflightOK++
 		} else {
-			row.falseRej++
+			falseRej++
 		}
 	}
 
@@ -380,22 +295,19 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	// Replay the entire history: a delivery of an already-delivered wire is
 	// a replay acceptance.
-	for _, w := range history {
-		_, verdict, _ := B.Open(w)
-		if verdict.Delivered() {
-			if seen[string(w)] {
-				row.replays++
-			}
-			seen[string(w)] = true
-		}
+	if err := p.ReplayAll(nil); err != nil {
+		return nil, err
+	}
+	if err := p.Check(); err != nil {
+		return nil, err
 	}
 
 	// The retired generations' journal cells must be erased.
 	erased := 0
 	for n, key := range oldKeys {
-		j := A.Journal()
+		j := p.Sender().Journal()
 		if n%4 >= 2 {
-			j = B.Journal()
+			j = p.Receiver().Journal()
 		}
 		if _, ok, _ := j.Cell(key).Fetch(); !ok {
 			erased++
@@ -406,12 +318,12 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 	return []string{
 		fmt.Sprintf("%.0f%%", loss*100),
 		fmt.Sprint(st.Rollovers),
-		fmt.Sprint(row.attempts),
-		fmt.Sprint(row.delivered),
-		fmt.Sprint(row.sacrificed),
-		fmt.Sprintf("%d/%d", row.inflightOK, len(inflight)),
-		fmt.Sprint(row.falseRej),
-		fmt.Sprint(row.replays),
+		fmt.Sprint(attempts),
+		fmt.Sprint(p.Delivered.Load()),
+		fmt.Sprint(p.Sacrificed.Load()),
+		fmt.Sprintf("%d/%d", inflightOK, len(inflight)),
+		fmt.Sprint(falseRej),
+		fmt.Sprint(p.replays),
 		fmt.Sprintf("%d/%d", erased, len(oldKeys)),
 	}, nil
 }

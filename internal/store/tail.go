@@ -259,16 +259,6 @@ func (j *Journal) SyncFollower(t *Tail) error {
 	return nil
 }
 
-// ClearSyncFollower removes the sync-follower registration (graceful
-// degradation to local-only durability), releasing any savers blocked on
-// replication acks.
-func (j *Journal) ClearSyncFollower() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.syncTail = nil
-	j.cond.Broadcast()
-}
-
 // Fence permanently rejects all further writes to the journal with err
 // (ErrFenced when nil): appends are refused and savers already waiting are
 // released with the error. A cluster promotion fences the deposed primary's

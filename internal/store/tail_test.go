@@ -255,6 +255,9 @@ func TestSyncFollowerGatesSaves(t *testing.T) {
 	}
 }
 
+// TestClearSyncFollowerReleasesWaiters pins the one way to clear a sync
+// follower: closing its tail drops the registration (local-only
+// durability) and releases any saver blocked on a replication ack.
 func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
 	j, err := openSegment(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
@@ -273,14 +276,14 @@ func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- j.Cell("a").Save(7) }()
 	time.Sleep(10 * time.Millisecond)
-	j.ClearSyncFollower()
+	tl.Close()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("save after ClearSyncFollower: %v", err)
+			t.Fatalf("save after Tail.Close: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("save still blocked after ClearSyncFollower")
+		t.Fatal("save still blocked after Tail.Close")
 	}
 }
 
